@@ -58,8 +58,9 @@
 //! adaptive). With `--json` everything lands in `BENCH_churn.json`; with
 //! `--gate P` the bin exits non-zero when (a) adaptive attack accuracy at
 //! the highest failure rate exceeds the failure-free baseline by more than
-//! `P` points, or (b) any partition point's post-merge mean `achieved_k`
-//! fails to recover to the failure-free ledger.
+//! `P` points, (b) any partition point's post-merge mean `achieved_k`
+//! fails to recover to the failure-free ledger, or (c) any run records
+//! an in-run invariant violation.
 //!
 //! With `--membership` the bin additionally compares the two overlay
 //! maintenance strategies head to head on the same scripted partition:
@@ -82,11 +83,11 @@ use cyclosa_attack::simattack::SimAttack;
 use cyclosa_bench::observe::{parse_observe_flag, ObserveFlags};
 use cyclosa_bench::setup::{ExperimentScale, ExperimentSetup};
 use cyclosa_chaos::experiment::{
-    run_churn_experiment, run_churn_experiment_sharded, run_churn_experiment_sharded_observed,
-    ChurnConfig, ChurnTelemetry, MembershipProbeConfig,
+    run_churn_experiment, run_churn_experiment_on, ChurnConfig, ChurnOutcome, ChurnTelemetry,
+    MembershipProbeConfig,
 };
 use cyclosa_chaos::partition::{
-    run_partition_experiment, run_partition_experiment_sharded, PartitionConfig, PhaseSummary,
+    run_partition_experiment, run_partition_experiment_on, PartitionConfig, PhaseSummary,
 };
 use cyclosa_chaos::slo::evaluate_churn_slos;
 use cyclosa_chaos::ChaosPlan;
@@ -101,6 +102,7 @@ use cyclosa_peer_sampling::{
     SybilAttackConfig, SybilSimulator,
 };
 use cyclosa_runtime::metrics::Registry;
+use cyclosa_runtime::ShardedEngine;
 use cyclosa_util::json::{Json, ToJson};
 use cyclosa_util::stats::Summary;
 
@@ -295,10 +297,35 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    if options.relays <= options.k {
-        return Err("--relays must exceed --k".into());
+    ChurnConfig {
+        relays: options.relays,
+        k: options.k,
+        queries: options.queries,
+        ..ChurnConfig::default()
     }
+    .validate()?;
     Ok(options)
+}
+
+/// `config` on the sharded engine, no extra plan, telemetry disabled.
+fn run_sharded(config: &ChurnConfig, shards: usize) -> ChurnOutcome {
+    run_churn_experiment_on(
+        &mut ShardedEngine::new(config.seed, shards),
+        config,
+        &ChaosPlan::new(),
+        &ChurnTelemetry::default(),
+    )
+}
+
+/// Records a run's in-run invariant violations for `--gate`.
+fn record_violations(into: &mut Vec<String>, run: &str, outcome: &ChurnOutcome) {
+    if outcome.violation_count > 0 {
+        into.push(format!(
+            "{run}: {} invariant violation(s): {}",
+            outcome.violation_count,
+            outcome.violations.join("; ")
+        ));
+    }
 }
 
 /// One point of the partition sweep (minority fraction × duration).
@@ -683,7 +710,7 @@ fn main() {
             ..ChurnConfig::default()
         };
         let sequential = run_churn_experiment(&config);
-        let sharded = run_churn_experiment_sharded(&config, options.shards);
+        let sharded = run_sharded(&config, options.shards);
         assert_eq!(
             sequential, sharded,
             "sharded churn run diverged from the sequential simulation"
@@ -701,6 +728,7 @@ fn main() {
         "fixed(%)",
         "adaptive(%)"
     );
+    let mut violations: Vec<String> = Vec::new();
     let mut points = Vec::new();
     for &rate in &options.rates {
         let config = ChurnConfig {
@@ -714,11 +742,12 @@ fn main() {
             ..ChurnConfig::default()
         };
         let outcome = run_churn_experiment(&config);
-        let summary = Summary::from_samples(&outcome.latencies);
+        let summary = Summary::from_samples(&outcome.latencies());
         assert_eq!(
             outcome.clamped_samples, 0,
             "negative round trips must never be recorded"
         );
+        record_violations(&mut violations, &format!("churn @ {rate}"), &outcome);
 
         // Fixed-k: fakes on dead relays simply vanish.
         let mut fixed =
@@ -792,12 +821,12 @@ fn main() {
             "# observed churn run at failure rate {rate} ({} shards)...",
             options.shards
         );
-        let observed = run_churn_experiment_sharded_observed(
-            &config,
-            &ChaosPlan::new(),
-            options.shards,
-            &telemetry,
-        );
+        let mut engine = ShardedEngine::new(config.seed, options.shards);
+        engine.set_trace_sink(telemetry.trace.clone());
+        if let Some(registry) = &telemetry.metrics {
+            engine.enable_profiling(registry);
+        }
+        let observed = run_churn_experiment_on(&mut engine, &config, &ChaosPlan::new(), &telemetry);
         assert_eq!(
             observed,
             run_churn_experiment(&config),
@@ -915,16 +944,30 @@ fn main() {
                 merge_at,
                 settle,
             };
+            if let Err(message) = config.validate() {
+                eprintln!("error: {message}");
+                std::process::exit(2);
+            }
             // Determinism first, as for the rate sweep: the partition
             // boundary crossing shard boundaries must not break
             // bit-identity.
             let outcome = run_partition_experiment(&config);
             assert_eq!(
-                run_partition_experiment_sharded(&config, options.shards),
+                run_partition_experiment_on(
+                    &mut ShardedEngine::new(config.base.seed, options.shards),
+                    &config,
+                    &ChaosPlan::new(),
+                    &ChurnTelemetry::default(),
+                ),
                 outcome,
                 "sharded partition run diverged from the sequential simulation"
             );
             assert_eq!(outcome.churn.clamped_samples, 0);
+            record_violations(
+                &mut violations,
+                &format!("partition {fraction}×{duration_s}s"),
+                &outcome.churn,
+            );
             if first_partition.is_none() {
                 first_partition = Some((config, outcome.post_merge.mean_achieved_k));
             }
@@ -1104,11 +1147,12 @@ fn main() {
         };
         let churn_outcome = run_churn_experiment(&churn_config);
         assert_eq!(
-            run_churn_experiment_sharded(&churn_config, options.shards),
+            run_sharded(&churn_config, options.shards),
             churn_outcome,
             "sharded membership-mode churn run diverged from the sequential simulation"
         );
-        let churn_summary = Summary::from_samples(&churn_outcome.latencies);
+        record_violations(&mut violations, "membership churn", &churn_outcome);
+        let churn_summary = Summary::from_samples(&churn_outcome.latencies());
 
         // First partition window again, with suspicion-driven probation
         // layered on the same blacklist: refutation forgives early, death
@@ -1123,6 +1167,7 @@ fn main() {
                 ..swept
             };
             let outcome = run_partition_experiment(&config);
+            record_violations(&mut violations, "membership partition", &outcome.churn);
             (ttl_post_k, outcome.post_merge.mean_achieved_k)
         });
 
@@ -1327,6 +1372,14 @@ fn main() {
     // rate against the true failure-free point — a lowest-nonzero stand-in
     // would silently loosen the budget.
     if let Some(gate) = options.gate {
+        // Invariant gate: every run checks the deployment's in-run
+        // invariants, and any violation fails the bin.
+        if !violations.is_empty() {
+            for violation in &violations {
+                eprintln!("error: {violation}");
+            }
+            std::process::exit(1);
+        }
         let Some(baseline) = points.iter().find(|p| p.failure_rate == 0.0) else {
             eprintln!("error: --gate needs the failure-free baseline; include 0 in --rates");
             std::process::exit(2);

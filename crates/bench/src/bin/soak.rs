@@ -83,9 +83,6 @@ fn parse_args() -> Result<Options, String> {
             "--queries" => {
                 let value = args.next().ok_or("--queries needs a value")?;
                 options.queries = value.parse().map_err(|_| "bad --queries".to_owned())?;
-                if options.queries == 0 {
-                    return Err("--queries must be positive".into());
-                }
             }
             "--seed" => {
                 let value = args.next().ok_or("--seed needs a value")?;
@@ -94,9 +91,6 @@ fn parse_args() -> Result<Options, String> {
             "--window" => {
                 let value = args.next().ok_or("--window needs a value")?;
                 options.window = value.parse().map_err(|_| "bad --window".to_owned())?;
-                if options.window == 0 {
-                    return Err("--window must be positive".into());
-                }
             }
             "--churn" => {
                 let value = args.next().ok_or("--churn needs UP_S,DOWN_S")?;
@@ -168,9 +162,7 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    if options.relays <= options.k {
-        return Err("--relays must exceed --k".into());
-    }
+    config_from(&options).validate()?;
     Ok(options)
 }
 

@@ -1,5 +1,5 @@
-//! The robustness-under-failure experiment: the end-to-end latency
-//! deployment of `cyclosa::deployment` re-run **under churn**, with the
+//! The robustness-under-failure experiment: the chaos deployment (one
+//! query every 500 ms) re-run **under relay failures**, with the
 //! client-side healing path the paper describes (clients blacklist
 //! unresponsive proxies and resubmit through a fresh relay).
 //!
@@ -9,39 +9,19 @@
 //! because faults are deterministic membership events and all client
 //! randomness comes from seed-derived streams.
 
-use crate::adversary::{
-    adversary_stream, AdversaryConfig, ByzantinePolicy, CollusionLedger, PolicySchedule,
-    SharedCollusionLedger,
-};
+use crate::adversary::AdversaryConfig;
 use crate::churn::churn_stream;
+use crate::deployment::{self, Deployment};
 use crate::plan::{ChaosPlan, FaultKind};
-use cyclosa::deployment::relay_service_time_ns;
+use crate::soak::ArrivalModel;
 use cyclosa_net::engine::Engine;
-use cyclosa_net::latency::LatencyModel;
-use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation, SimulationStats};
+use cyclosa_net::sim::{Simulation, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_peer_sampling::{FailureDetector, MemberState, PeerId};
-use cyclosa_runtime::metrics::{Counter, Registry};
-use cyclosa_runtime::ShardedEngine;
+use cyclosa_runtime::metrics::Registry;
 use cyclosa_sgx::enclave::CostModel;
-use cyclosa_telemetry::{TraceEvent, TraceSink};
-use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
-use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
-
-const TAG_FORWARD: u32 = 1;
-const TAG_ENGINE_QUERY: u32 = 2;
-const TAG_ENGINE_RESPONSE: u32 = 3;
-const TAG_RESPONSE: u32 = 4;
-/// Client → relay liveness probe: `[seq u64][believed state u8][believed
-/// incarnation u64]`, little-endian. The believed half is the refutation
-/// channel: a relay pinged with a non-alive belief about itself at an
-/// incarnation at least its own bumps its incarnation and acks the new
-/// one, which the client's detector applies as a refutation.
-const TAG_PING: u32 = 5;
-/// Relay → client probe answer: `[seq u64][relay incarnation u64]`.
-const TAG_ACK: u32 = 6;
+use cyclosa_telemetry::TraceSink;
+use cyclosa_util::rng::Rng;
 
 /// Model tag of the relay-failure sampling stream (see
 /// [`crate::churn::churn_stream`]).
@@ -49,8 +29,8 @@ const TAG_RELAY_FAILURES: u64 = 0xFA11;
 
 /// Configuration of the client's SWIM-style relay probing — the
 /// protocol-native alternative to fixed-TTL probation. When enabled (see
-/// [`ChurnConfig::membership`]), the client runs a [`FailureDetector`]
-/// over the relay population: periodic pings, alive → suspect on an
+/// [`ChurnConfig::membership`]), the client runs a
+/// [`cyclosa_peer_sampling::FailureDetector`] over the relay population: periodic pings, alive → suspect on an
 /// unanswered probe, suspect → dead when the suspicion timeout expires
 /// unrefuted. Probation becomes suspicion-driven: a suspected relay is
 /// blacklisted the moment its probe times out, and a refuting ack (the
@@ -121,14 +101,10 @@ pub struct ChurnConfig {
     /// experiments set a finite probation so post-merge queries can spread
     /// over the whole population again and `achieved_k` recovers.
     pub blacklist_ttl: Option<SimTime>,
-    /// When set, the client runs SWIM-style liveness probing over the
-    /// relays and probation becomes suspicion-driven: suspected relays
-    /// are blacklisted immediately, refuted ones forgiven early (the
-    /// blacklist entry is removed outright, ahead of any TTL), and
-    /// relays declared dead trigger a proactive top-up of the fakes
-    /// their plans entrusted to them (adaptive runs only; counted in
-    /// [`ChurnOutcome::fakes_topped_up_proactive`]). `None` keeps the
-    /// passive blacklist of the original healing path.
+    /// When set, the client probes the relays and probation becomes
+    /// suspicion-driven (see [`MembershipProbeConfig`]); relays declared
+    /// dead trigger a proactive top-up of the fakes their plans entrusted
+    /// to them (adaptive runs only). `None` keeps the passive blacklist.
     pub membership: Option<MembershipProbeConfig>,
     /// When set, a byzantine coalition: `fraction` of the relays switch
     /// to `policy` at `activate_at` (see [`crate::adversary`]). The
@@ -178,6 +154,41 @@ impl ChurnConfig {
         Self::issued_at(self.queries) + SimTime::from_millis(500)
     }
 
+    /// Checks the configuration: at least `k + 1` relays and at least
+    /// one query. The experiment runners panic with this message.
+    pub fn validate(&self) -> Result<(), String> {
+        self.deployment().validate()
+    }
+
+    /// The deployment this configuration runs: launches on the flat
+    /// 500 ms cadence of [`Self::issued_at`], one ledger window per query.
+    pub(crate) fn deployment(&self) -> Deployment {
+        let queries = self.queries as u64;
+        Deployment {
+            relays: self.relays,
+            k: self.k,
+            queries,
+            seed: self.seed,
+            arrival: ArrivalModel {
+                base_interval: Self::issued_at(1),
+                diurnal_amplitude: 0.0,
+                diurnal_period_queries: 1,
+                flash_crowds: 0,
+                flash_boost: 1.0,
+                flash_width_queries: 0,
+                queries,
+            },
+            window_queries: 1,
+            retry_timeout: self.retry_timeout,
+            max_retries: self.max_retries,
+            adaptive: self.adaptive,
+            blacklist_ttl: self.blacklist_ttl,
+            membership: self.membership,
+            uplink_per_request: self.client_uplink_per_request,
+            cost: self.cost,
+        }
+    }
+
     /// Samples the deterministic relay-failure plan of this configuration:
     /// `round(failure_rate · relays)` distinct relays fail at uniform times
     /// in the middle 80 % of the run, each either leaving for good or
@@ -220,7 +231,7 @@ impl ChurnConfig {
 #[derive(Debug, Clone, Default)]
 pub struct ChurnTelemetry {
     /// Receives the fault annotations (`fault.*`, from the applied
-    /// [`ChaosPlan`]s), the client's per-query causal events
+    /// [`ChaosPlan`]), the client's per-query causal events
     /// (`query.launch`, `query.repair`, `query.top_up`,
     /// `query.answered`, `latency.clamped`) and the forwarding-path
     /// spans (`relay.forward`, `engine.service`, real queries only) on
@@ -230,8 +241,8 @@ pub struct ChurnTelemetry {
     /// (`mship.suspect`, `mship.refute`, `mship.dead`) join it.
     pub trace: TraceSink,
     /// When set, the client's clamped-sample counter
-    /// (`client.clamped_samples`) is recorded here, and sharded runs add
-    /// the engine's per-shard self-profiling metrics.
+    /// (`client.clamped_samples`) is recorded here. Callers on a
+    /// `ShardedEngine` may pass it to `enable_profiling` as well.
     pub metrics: Option<Registry>,
 }
 
@@ -252,16 +263,13 @@ pub struct AnsweredQuery {
 /// What one churn run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnOutcome {
-    /// Per-query end-to-end latencies (seconds) of the real-query path,
-    /// in completion order. Queries whose real query had to be resubmitted
-    /// include the retry delay.
-    pub latencies: Vec<f64>,
-    /// The per-query ledger (in completion order): sequence number,
-    /// latency and the `achieved_k` each answered query ended with.
+    /// The per-query ledger, in issue order: sequence number, latency and
+    /// the `achieved_k` of every answered query.
     pub answered_queries: Vec<AnsweredQuery>,
     /// Queries answered before the run drained.
     pub answered: usize,
-    /// Queries that exhausted their retries without an answer.
+    /// Queries never answered: retries exhausted, or skipped at launch
+    /// for want of usable relays.
     pub unanswered: usize,
     /// Real-query resubmissions performed by the healing path.
     pub retries: u64,
@@ -275,7 +283,8 @@ pub struct ChurnOutcome {
     /// [`ChurnConfig::membership`] enabled).
     pub fakes_topped_up_proactive: u64,
     /// Latency samples whose round-trip came out negative and were clamped
-    /// to zero — always 0 unless an event-ordering bug slipped in.
+    /// to zero — always 0 unless an event-ordering bug slipped in (each
+    /// one is also a violation).
     pub clamped_samples: u64,
     /// Relays the failure plan took down.
     pub failed_relays: usize,
@@ -294,995 +303,123 @@ pub struct ChurnOutcome {
     pub colluded_real_observed: u64,
     /// Total requests (real and fake) carried by colluding relays.
     pub colluded_total_observed: u64,
+    /// In-run invariant violations: `achieved_k` above `k`, a request to
+    /// a relay on probation, a plan doubling up a relay, or a clamped
+    /// latency sample (the first 16 verbatim, the rest only counted).
+    pub violations: Vec<String>,
+    /// Total violations, including ones past the recording cap.
+    pub violation_count: u64,
     /// Raw engine counters (losses, drops on dead relays, membership).
     pub stats: SimulationStats,
 }
 
-#[derive(Default)]
-struct ClientSink {
-    latencies: Vec<f64>,
-    answered_queries: Vec<AnsweredQuery>,
-    answered: usize,
-    retries: u64,
-    fakes_topped_up: u64,
-    fakes_topped_up_proactive: u64,
-    clamped_samples: u64,
-}
-
-/// Whether `relay` is currently barred by the client's blacklist: entries
-/// are permanent without a TTL, and expire `ttl` after they were added
-/// with one (the probation that lets post-partition queries spread over
-/// the healed population again).
-pub(crate) fn on_probation(
-    blacklist: &std::collections::BTreeMap<NodeId, SimTime>,
-    ttl: Option<SimTime>,
-    relay: NodeId,
-    now: SimTime,
-) -> bool {
-    blacklist.get(&relay).is_some_and(|since| match ttl {
-        None => true,
-        Some(ttl) => now.saturating_sub(*since) < ttl,
-    })
-}
-
-struct RelayBehavior {
-    engine: NodeId,
-    processing: SimTime,
-    pending: Vec<Envelope>,
-    /// SWIM incarnation number: bumped when a ping carries a non-alive
-    /// belief about this relay at an incarnation at least its own, so
-    /// the ack refutes the stale suspicion. Survives crash/recover
-    /// (behaviour state is retained), exactly what refutation-after-
-    /// downtime needs.
-    incarnation: u64,
-    /// Causal-trace sink: real-query forwards become `relay.forward`
-    /// spans (disabled by default — emissions are no-ops).
-    trace: TraceSink,
-    /// The relay's byzantine policy timeline (empty = honest forever),
-    /// consulted at message receipt — so a same-instant crash still wins,
-    /// because membership events sort before deliveries in a slot.
-    policies: PolicySchedule,
-    /// Dedicated behaviour stream for drop draws. Never consulted on the
-    /// honest path, so honest runs stay bit-identical.
-    adv_rng: Xoshiro256StarStar,
-    /// The coalition's shared ledger (None for fully honest runs).
-    adversary: Option<SharedCollusionLedger>,
-}
-
-impl RelayBehavior {
-    /// The tampering path of a hostile forward policy. Returns the extra
-    /// enclave delay to impose, or `None` when the request is swallowed.
-    fn tamper(
-        &mut self,
-        ctx: &Context<'_>,
-        policy: ByzantinePolicy,
-        payload: &[u8],
-    ) -> Option<SimTime> {
-        policy.apply_to_forward(
-            ctx.now(),
-            ctx.self_id().0,
-            parse_client(payload).map(|n| n.0).unwrap_or(0),
-            parse_real_seq(payload),
-            self.adversary.as_ref(),
-            &mut self.adv_rng,
-            &self.trace,
-        )
+impl ChurnOutcome {
+    /// End-to-end latencies (seconds) of the answered queries' real-query
+    /// path, in issue order; resubmitted queries include the retry delay.
+    pub fn latencies(&self) -> Vec<f64> {
+        self.answered_queries.iter().map(|q| q.latency_s).collect()
     }
 }
 
-impl NodeBehavior for RelayBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        match envelope.tag {
-            TAG_FORWARD => {
-                let policy = self.policies.at(ctx.now());
-                let extra = if policy.is_hostile() {
-                    match self.tamper(ctx, policy, &envelope.payload) {
-                        Some(extra) => extra,
-                        None => return, // swallowed by a drop policy
-                    }
-                } else {
-                    SimTime::ZERO
-                };
-                self.pending.push(envelope);
-                ctx.set_timer(self.processing + extra, (self.pending.len() - 1) as u64);
-            }
-            TAG_PING => {
-                if let Some((seq, state, incarnation)) = decode_ping(&envelope.payload) {
-                    if state != MemberState::Alive.to_wire() && incarnation >= self.incarnation {
-                        self.incarnation = incarnation + 1;
-                    }
-                    // Gossip lying: a forging relay jumps its advertised
-                    // incarnation on every ack instead of the protocol's
-                    // `+1` refutation bump, burning incarnation space.
-                    if let ByzantinePolicy::ForgeIncarnation { bump } = self.policies.at(ctx.now())
-                    {
-                        self.incarnation = self.incarnation.saturating_add(bump);
-                        if let Some(ledger) = &self.adversary {
-                            ledger.lock().expect("ledger poisoned").record_forged_ack();
-                        }
-                        if self.trace.is_enabled() {
-                            self.trace.emit(
-                                TraceEvent::new(ctx.now(), ctx.self_id().0, "adv.lie")
-                                    .attr("incarnation", self.incarnation),
-                            );
-                        }
-                    }
-                    // Answered inline, not through the processing queue:
-                    // the probe measures reachability, and the timeout is
-                    // sized against the network round trip.
-                    ctx.send(envelope.src, TAG_ACK, encode_ack(seq, self.incarnation));
-                }
-            }
-            TAG_ENGINE_RESPONSE => {
-                if let Some(client) = parse_client(&envelope.payload) {
-                    ctx.send(client, TAG_RESPONSE, envelope.payload);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if let Some(envelope) = self.pending.get(token as usize) {
-            if self.trace.is_enabled() {
-                // The forward completes now after `processing` in the
-                // enclave, so the span covers [receipt, forward]. Only the
-                // real-query path is traced — fakes never close a causal
-                // chain, and tracing them would double the trace volume.
-                if let Some(seq) = parse_real_seq(&envelope.payload) {
-                    self.trace.emit(
-                        TraceEvent::new(ctx.now(), ctx.self_id().0, "relay.forward")
-                            .query(seq)
-                            .span(self.processing),
-                    );
-                }
-            }
-            ctx.send(self.engine, TAG_ENGINE_QUERY, envelope.payload.clone());
-        }
-    }
-}
-
-struct EngineBehavior {
-    processing: LatencyModel,
-    rng: Xoshiro256StarStar,
-    /// `(relay, payload, service_time)` per in-flight request; the
-    /// sampled service time rides along so the completion-side span can
-    /// report it without re-deriving anything.
-    pending: Vec<(NodeId, Vec<u8>, SimTime)>,
-    /// Causal-trace sink: real-query completions become `engine.service`
-    /// spans (disabled by default — emissions are no-ops).
-    trace: TraceSink,
-}
-
-impl NodeBehavior for EngineBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        if envelope.tag != TAG_ENGINE_QUERY {
-            return;
-        }
-        // Sampled unconditionally — tracing must never advance or skip a
-        // draw, or observed runs would diverge from unobserved ones.
-        let delay = self.processing.sample(&mut self.rng);
-        self.pending.push((envelope.src, envelope.payload, delay));
-        ctx.set_timer(delay, (self.pending.len() - 1) as u64);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if let Some((relay, payload, delay)) = self.pending.get(token as usize).cloned() {
-            if self.trace.is_enabled() {
-                if let Some(seq) = parse_real_seq(&payload) {
-                    self.trace.emit(
-                        TraceEvent::new(ctx.now(), ctx.self_id().0, "engine.service")
-                            .query(seq)
-                            .span(delay),
-                    );
-                }
-            }
-            ctx.send(relay, TAG_ENGINE_RESPONSE, payload);
-        }
-    }
-}
-
-struct ClientBehavior {
-    relays: Vec<NodeId>,
-    k: usize,
-    queries: usize,
-    rng: Xoshiro256StarStar,
-    retry_timeout: SimTime,
-    max_retries: u32,
-    adaptive: bool,
-    uplink_per_request: SimTime,
-    sent_at: Vec<Option<SimTime>>,
-    answered: Vec<bool>,
-    attempts: Vec<u32>,
-    /// The relay currently entrusted with each query's *real* request —
-    /// the one blacklisted and replaced if no answer arrives in time.
-    real_relay: Vec<Option<NodeId>>,
-    /// The relays each query's fakes were entrusted to — the adaptive
-    /// repair re-assesses this set against the blacklist on every retry
-    /// and resubmits the shortfall.
-    fake_relays: Vec<Vec<NodeId>>,
-    /// Relays the client has given up on (paper §IV: unresponsive proxies
-    /// are blacklisted client-side), with the time each entry was added —
-    /// entries expire after `blacklist_ttl` when one is configured.
-    blacklist: std::collections::BTreeMap<NodeId, SimTime>,
-    blacklist_ttl: Option<SimTime>,
-    outbox: Vec<(NodeId, Vec<u8>)>,
-    sink: Arc<Mutex<ClientSink>>,
-    /// Causal-trace sink (disabled by default — emissions are no-ops).
-    trace: TraceSink,
-    /// Relays the applied fault plans take down (crash or leave) — used
-    /// only to annotate `query.repair` events with whether the repaired
-    /// failure was an injected fault, never to influence behaviour.
-    victims: BTreeSet<NodeId>,
-    /// Registry twin of [`ClientSink::clamped_samples`].
-    clamped_metric: Option<Counter>,
-    /// SWIM probing of the relay population (None outside membership
-    /// mode; every probing hook below is then a no-op).
-    membership: Option<MembershipProbeConfig>,
-    /// The client-side failure detector over the relays. Its randomized
-    /// probe cycle draws from `probe_rng`, a stream separate from the
-    /// query-plan RNG, so probing never perturbs plan selection.
-    detector: FailureDetector,
-    probe_rng: Xoshiro256StarStar,
-    probe_seq: u64,
-    /// In-flight probes: relay → probe sequence number. An ack clears
-    /// the entry; a timeout that still finds it suspects the relay.
-    pending_probes: std::collections::BTreeMap<NodeId, u64>,
-    /// Round-robin cursor over dead members for the per-round knock —
-    /// the re-probe that lets a recovered (or merely partitioned-away)
-    /// relay refute its death and win early forgiveness.
-    dead_cursor: usize,
-    /// When to stop arming probe rounds (the query horizon).
-    probe_deadline: SimTime,
-}
-
-const OUTBOX_BASE: u64 = 1 << 40;
-const RETRY_BASE: u64 = 1 << 41;
-const PROBE_TIMEOUT_BASE: u64 = 1 << 42;
-const SUSPECT_BASE: u64 = 1 << 43;
-const PROBE_ROUND: u64 = 1 << 44;
-
-impl ClientBehavior {
-    fn ensure(&mut self, seq: usize) {
-        if self.sent_at.len() <= seq {
-            self.sent_at.resize(seq + 1, None);
-            self.answered.resize(seq + 1, false);
-            self.attempts.resize(seq + 1, 0);
-            self.real_relay.resize(seq + 1, None);
-            self.fake_relays.resize(seq + 1, Vec::new());
-        }
-    }
-
-    /// Relays the client is still willing to use at `now` (blacklist
-    /// entries past their probation are forgiven).
-    fn usable(&self, now: SimTime) -> Vec<NodeId> {
-        self.relays
-            .iter()
-            .copied()
-            .filter(|r| !on_probation(&self.blacklist, self.blacklist_ttl, *r, now))
-            .collect()
-    }
-
-    fn defer_send(&mut self, ctx: &mut Context<'_>, relay: NodeId, payload: Vec<u8>, slot: u64) {
-        self.outbox.push((relay, payload));
-        let delay = SimTime::from_nanos(self.uplink_per_request.as_nanos() * (slot + 1));
-        ctx.set_timer(delay, OUTBOX_BASE + (self.outbox.len() - 1) as u64);
-    }
-
-    fn launch(&mut self, ctx: &mut Context<'_>, seq: usize) {
-        self.ensure(seq);
-        let usable = self.usable(ctx.now());
-        if usable.is_empty() {
-            return;
-        }
-        let picks = self.rng.sample_indices(usable.len(), self.k + 1);
-        let real_slot = self.rng.gen_index(picks.len());
-        self.sent_at[seq] = Some(ctx.now());
-        for (slot, relay_index) in picks.into_iter().enumerate() {
-            let flag = if slot == real_slot { "R" } else { "F" };
-            let payload = format!(
-                "{}|{}|{}|query number {} terms",
-                ctx.self_id().0,
-                seq,
-                flag,
-                seq
-            );
-            if slot == real_slot {
-                self.real_relay[seq] = Some(usable[relay_index]);
-            } else {
-                self.fake_relays[seq].push(usable[relay_index]);
-            }
-            self.defer_send(ctx, usable[relay_index], payload.into_bytes(), slot as u64);
-        }
-        if self.trace.is_enabled() {
-            if let Some(real) = self.real_relay[seq] {
-                self.trace.emit(
-                    TraceEvent::new(ctx.now(), ctx.self_id().0, "query.launch")
-                        .query(seq as u64)
-                        .attr("relay", real.0)
-                        .attr("fakes", self.fake_relays[seq].len()),
-                );
-            }
-        }
-        ctx.set_timer(self.retry_timeout, RETRY_BASE + seq as u64);
-    }
-
-    fn retry(&mut self, ctx: &mut Context<'_>, seq: usize) {
-        if self.answered[seq] || self.attempts[seq] >= self.max_retries {
-            return;
-        }
-        // The entrusted relay never answered: blacklist it and resubmit the
-        // real query through a fresh relay.
-        let failed = self.real_relay[seq].take();
-        if let Some(dead) = failed {
-            self.blacklist.insert(dead, ctx.now());
-        }
-        let usable = self.usable(ctx.now());
-        if usable.is_empty() {
-            return;
-        }
-        self.attempts[seq] += 1;
-        self.sink.lock().expect("sink poisoned").retries += 1;
-        // Keep the plan's relays distinct (the core repair's
-        // `draw_distinct_relay` rule): prefer a replacement not already
-        // carrying one of this query's fakes, falling back to any usable
-        // relay only when the population is too depleted to avoid it.
-        let fakes = &self.fake_relays[seq];
-        let distinct: Vec<NodeId> = usable
-            .iter()
-            .copied()
-            .filter(|r| !fakes.contains(r))
-            .collect();
-        let pool = if distinct.is_empty() {
-            &usable
-        } else {
-            &distinct
-        };
-        let replacement = pool[self.rng.gen_index(pool.len())];
-        self.real_relay[seq] = Some(replacement);
-        if self.trace.is_enabled() {
-            let mut event = TraceEvent::new(ctx.now(), ctx.self_id().0, "query.repair")
-                .query(seq as u64)
-                .attr("attempt", self.attempts[seq]);
-            if let Some(dead) = failed {
-                event = event.attr("failed", dead.0);
-            }
-            self.trace
-                .emit(event.attr("replacement", replacement.0).attr(
-                    "fault_injected",
-                    failed.is_some_and(|dead| self.victims.contains(&dead)),
-                ));
-        }
-        let payload = format!("{}|{}|R|query number {} terms", ctx.self_id().0, seq, seq);
-        self.defer_send(ctx, replacement, payload.into_bytes(), 0);
-        if self.adaptive {
-            self.top_up_fakes(ctx, seq, replacement);
-        }
-        ctx.set_timer(self.retry_timeout, RETRY_BASE + seq as u64);
-    }
-
-    /// The adaptive-k repair: fakes entrusted to meanwhile-blacklisted
-    /// relays are presumed lost with them, so the resubmission carries the
-    /// shortfall too — fresh fake requests through distinct relays not
-    /// already serving this query.
-    fn top_up_fakes(&mut self, ctx: &mut Context<'_>, seq: usize, real_replacement: NodeId) {
-        let now = ctx.now();
-        let blacklist = &self.blacklist;
-        let ttl = self.blacklist_ttl;
-        self.fake_relays[seq].retain(|r| !on_probation(blacklist, ttl, *r, now));
-        let shortfall = self.k.saturating_sub(self.fake_relays[seq].len());
-        if shortfall == 0 {
-            return;
-        }
-        let in_use = &self.fake_relays[seq];
-        let candidates: Vec<NodeId> = self
-            .usable(now)
-            .into_iter()
-            .filter(|r| *r != real_replacement && !in_use.contains(r))
-            .collect();
-        let picks = self
-            .rng
-            .sample_indices(candidates.len(), shortfall.min(candidates.len()));
-        let mut topped_up = 0;
-        for (slot, index) in picks.into_iter().enumerate() {
-            let relay = candidates[index];
-            let payload = format!("{}|{}|F|query number {} terms", ctx.self_id().0, seq, seq);
-            self.defer_send(ctx, relay, payload.into_bytes(), slot as u64 + 1);
-            self.fake_relays[seq].push(relay);
-            topped_up += 1;
-        }
-        self.sink.lock().expect("sink poisoned").fakes_topped_up += topped_up;
-        if topped_up > 0 && self.trace.is_enabled() {
-            self.trace.emit(
-                TraceEvent::new(now, ctx.self_id().0, "query.top_up")
-                    .query(seq as u64)
-                    .attr("count", topped_up),
-            );
-        }
-    }
-
-    /// One probe round of the membership prober: ping the next
-    /// `probes_per_round` relays of the detector's shuffled cycle, knock
-    /// on one currently-dead relay (the refutation channel for recovered
-    /// or re-merged relays), and re-arm while queries are still issuing.
-    fn probe_round(&mut self, ctx: &mut Context<'_>) {
-        let Some(probe) = self.membership else {
-            return;
-        };
-        for _ in 0..probe.probes_per_round {
-            let Some(peer) = self.detector.next_probe_target(&mut self.probe_rng) else {
-                break;
-            };
-            let relay = NodeId(peer.0);
-            if self.pending_probes.contains_key(&relay) {
-                continue;
-            }
-            let seq = self.send_ping(ctx, relay);
-            self.pending_probes.insert(relay, seq);
-            ctx.set_timer(probe.probe_timeout, PROBE_TIMEOUT_BASE + relay.0);
-        }
-        let dead = self.detector.dead_members();
-        if !dead.is_empty() {
-            let peer = dead[self.dead_cursor % dead.len()];
-            self.dead_cursor += 1;
-            let relay = NodeId(peer.0);
-            if !self.pending_probes.contains_key(&relay) {
-                // No timeout timer: the relay is already declared dead,
-                // so only an ack (a refutation) changes anything.
-                self.send_ping(ctx, relay);
-            }
-        }
-        if ctx.now() + probe.probe_period < self.probe_deadline {
-            ctx.set_timer(probe.probe_period, PROBE_ROUND);
-        }
-    }
-
-    /// Sends one ping carrying the client's current belief about the
-    /// relay, so a wrongly-suspected (or wrongly-dead) relay can refute
-    /// by acking a bumped incarnation.
-    fn send_ping(&mut self, ctx: &mut Context<'_>, relay: NodeId) -> u64 {
-        let seq = self.probe_seq;
-        self.probe_seq += 1;
-        let (state, incarnation) = match self.detector.state_of(PeerId(relay.0)) {
-            Some((state, incarnation, _)) => (state, incarnation),
-            None => (MemberState::Alive, 0),
-        };
-        ctx.send(
-            relay,
-            TAG_PING,
-            encode_ping(seq, state.to_wire(), incarnation),
-        );
-        seq
-    }
-
-    /// A direct probe went unanswered: suspect the relay and put it on
-    /// probation immediately (suspicion-driven blacklisting), with the
-    /// suspicion timeout armed toward a dead declaration.
-    fn probe_timed_out(&mut self, ctx: &mut Context<'_>, relay: NodeId) {
-        let Some(probe) = self.membership else {
-            return;
-        };
-        if self.pending_probes.remove(&relay).is_none() {
-            return;
-        }
-        let now = ctx.now();
-        if self.detector.suspect(PeerId(relay.0), now) {
-            self.blacklist.insert(relay, now);
-            ctx.set_timer(probe.suspicion_timeout, SUSPECT_BASE + relay.0);
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "mship.suspect").attr("relay", relay.0),
-                );
-            }
-        }
-    }
-
-    /// A suspicion timeout expired: if the suspicion still stands (no
-    /// refutation reset the clock), declare the relay dead and top up
-    /// the fakes its plans entrusted to it.
-    fn suspicion_expired(&mut self, ctx: &mut Context<'_>, relay: NodeId) {
-        let Some(probe) = self.membership else {
-            return;
-        };
-        let now = ctx.now();
-        let suspected_since = now.saturating_sub(probe.suspicion_timeout);
-        if self
-            .detector
-            .declare_dead(PeerId(relay.0), suspected_since, now)
-        {
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "mship.dead").attr("relay", relay.0),
-                );
-            }
-            self.proactive_top_up(ctx, relay);
-        }
-    }
-
-    /// An ack arrived: clear the pending probe and apply the relay's
-    /// incarnation as firsthand aliveness. When that refutes a standing
-    /// suspicion or death, the relay is forgiven early — its blacklist
-    /// entry removed outright, ahead of any fixed probation TTL.
-    fn handle_ack(&mut self, ctx: &mut Context<'_>, relay: NodeId, payload: &[u8]) {
-        if self.membership.is_none() {
-            return;
-        }
-        let Some((seq, incarnation)) = decode_ack(payload) else {
-            return;
-        };
-        if self.pending_probes.get(&relay) == Some(&seq) {
-            self.pending_probes.remove(&relay);
-        }
-        let peer = PeerId(relay.0);
-        let now = ctx.now();
-        let was_barred = matches!(
-            self.detector.state_of(peer),
-            Some((MemberState::Suspect | MemberState::Dead, _, _))
-        );
-        self.detector.ack(peer, incarnation, now);
-        let alive_again = matches!(
-            self.detector.state_of(peer),
-            Some((MemberState::Alive, _, _))
-        );
-        if was_barred && alive_again {
-            self.blacklist.remove(&relay);
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "mship.refute")
-                        .attr("relay", relay.0)
-                        .attr("incarnation", incarnation),
-                );
-            }
-        }
-    }
-
-    /// The proactive half of the adaptive repair: when the prober
-    /// declares a relay dead, every plan still live (unanswered, or
-    /// answered within the last retry window — its dilution still
-    /// matters to the engine's aggregate view) that entrusted a fake to
-    /// it gets that fake resubmitted through a fresh relay now, instead
-    /// of waiting for a retry to notice the loss.
-    fn proactive_top_up(&mut self, ctx: &mut Context<'_>, dead: NodeId) {
-        if !self.adaptive {
-            return;
-        }
-        let now = ctx.now();
-        for seq in 0..self.sent_at.len() {
-            let Some(sent) = self.sent_at[seq] else {
-                continue;
-            };
-            let live_plan = !self.answered[seq] || now.saturating_sub(sent) <= self.retry_timeout;
-            if !live_plan || !self.fake_relays[seq].contains(&dead) {
-                continue;
-            }
-            self.fake_relays[seq].retain(|r| *r != dead);
-            let real = self.real_relay[seq];
-            let in_use = &self.fake_relays[seq];
-            let candidates: Vec<NodeId> = self
-                .usable(now)
-                .into_iter()
-                .filter(|r| Some(*r) != real && !in_use.contains(r))
-                .collect();
-            if candidates.is_empty() {
-                continue;
-            }
-            let relay = candidates[self.probe_rng.gen_index(candidates.len())];
-            let payload = format!("{}|{}|F|query number {} terms", ctx.self_id().0, seq, seq);
-            self.defer_send(ctx, relay, payload.into_bytes(), 0);
-            self.fake_relays[seq].push(relay);
-            self.sink
-                .lock()
-                .expect("sink poisoned")
-                .fakes_topped_up_proactive += 1;
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "query.top_up")
-                        .query(seq as u64)
-                        .attr("count", 1_u64)
-                        .attr("proactive", true)
-                        .attr("dead", dead.0),
-                );
-            }
-        }
-    }
-}
-
-impl NodeBehavior for ClientBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        if envelope.tag == TAG_ACK {
-            self.handle_ack(ctx, envelope.src, &envelope.payload);
-            return;
-        }
-        if envelope.tag != TAG_RESPONSE {
-            return;
-        }
-        let text = String::from_utf8_lossy(&envelope.payload).to_string();
-        let mut parts = text.splitn(4, '|');
-        let _client = parts.next();
-        let seq: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(usize::MAX);
-        let flag = parts.next().unwrap_or("");
-        if flag != "R" || seq >= self.queries {
-            return;
-        }
-        self.ensure(seq);
-        if self.answered[seq] {
-            return;
-        }
-        if let Some(sent) = self.sent_at[seq] {
-            self.answered[seq] = true;
-            // The dilution this plan actually delivered: fakes still
-            // entrusted to relays the client has not (currently) given up
-            // on. Fakes on blacklisted relays are presumed swallowed.
-            let now = ctx.now();
-            let achieved_k = self.fake_relays[seq]
-                .iter()
-                .filter(|r| !on_probation(&self.blacklist, self.blacklist_ttl, **r, now))
-                .count();
-            let mut sink = self.sink.lock().expect("sink poisoned");
-            sink.answered += 1;
-            // A response can never precede its send; a negative round trip
-            // means the event order broke. Surface it instead of silently
-            // recording zero.
-            let round_trip = now.checked_sub(sent);
-            let latency_s = match round_trip {
-                Some(round_trip) => round_trip.as_secs_f64(),
-                None => {
-                    debug_assert!(
-                        false,
-                        "response at {now} precedes send at {sent} for query {seq}"
-                    );
-                    sink.clamped_samples += 1;
-                    if let Some(counter) = &self.clamped_metric {
-                        counter.inc();
-                    }
-                    if self.trace.is_enabled() {
-                        self.trace.emit(
-                            TraceEvent::new(now, ctx.self_id().0, "latency.clamped")
-                                .query(seq as u64),
-                        );
-                    }
-                    0.0
-                }
-            };
-            sink.latencies.push(latency_s);
-            sink.answered_queries.push(AnsweredQuery {
-                seq,
-                latency_s,
-                achieved_k,
-            });
-            if self.trace.is_enabled() {
-                // Spans are stamped at completion (events are never
-                // emitted with a timestamp behind the already-merged
-                // timeline); the Chrome exporter back-dates the slice by
-                // its duration so it covers [sent, answered].
-                let mut event = TraceEvent::new(now, ctx.self_id().0, "query.answered")
-                    .query(seq as u64)
-                    .attr("achieved_k", achieved_k)
-                    .attr("assessed_k", self.k)
-                    .attr("attempts", self.attempts[seq]);
-                if let Some(round_trip) = round_trip {
-                    event = event.span(round_trip);
-                }
-                self.trace.emit(event);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if token >= PROBE_ROUND {
-            self.probe_round(ctx);
-        } else if token >= SUSPECT_BASE {
-            self.suspicion_expired(ctx, NodeId(token - SUSPECT_BASE));
-        } else if token >= PROBE_TIMEOUT_BASE {
-            self.probe_timed_out(ctx, NodeId(token - PROBE_TIMEOUT_BASE));
-        } else if token >= RETRY_BASE {
-            self.retry(ctx, (token - RETRY_BASE) as usize);
-        } else if token >= OUTBOX_BASE {
-            if let Some((relay, payload)) = self.outbox.get((token - OUTBOX_BASE) as usize).cloned()
-            {
-                ctx.send(relay, TAG_FORWARD, payload);
-            }
-        } else {
-            self.launch(ctx, token as usize);
-        }
-    }
-}
-
-fn encode_ping(seq: u64, state: u8, incarnation: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(17);
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.push(state);
-    payload.extend_from_slice(&incarnation.to_le_bytes());
-    payload
-}
-
-fn decode_ping(payload: &[u8]) -> Option<(u64, u8, u64)> {
-    if payload.len() != 17 {
-        return None;
-    }
-    let seq = u64::from_le_bytes(payload[0..8].try_into().ok()?);
-    let incarnation = u64::from_le_bytes(payload[9..17].try_into().ok()?);
-    Some((seq, payload[8], incarnation))
-}
-
-fn encode_ack(seq: u64, incarnation: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(16);
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.extend_from_slice(&incarnation.to_le_bytes());
-    payload
-}
-
-fn decode_ack(payload: &[u8]) -> Option<(u64, u64)> {
-    if payload.len() != 16 {
-        return None;
-    }
-    let seq = u64::from_le_bytes(payload[0..8].try_into().ok()?);
-    let incarnation = u64::from_le_bytes(payload[8..16].try_into().ok()?);
-    Some((seq, incarnation))
-}
-
-pub(crate) fn parse_client(payload: &[u8]) -> Option<NodeId> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let id: u64 = text.split('|').next()?.parse().ok()?;
-    Some(NodeId(id))
-}
-
-/// The query sequence number of a real-query payload
-/// (`"client|seq|R|…"`), or `None` for fakes and non-query traffic.
-pub(crate) fn parse_real_seq(payload: &[u8]) -> Option<u64> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let mut parts = text.splitn(4, '|');
-    let _client = parts.next()?;
-    let seq: u64 = parts.next()?.parse().ok()?;
-    (parts.next()? == "R").then_some(seq)
-}
-
-/// Runs the churn latency experiment on any engine, applying the
-/// configuration's deterministic failure plan and returning the healed
-/// latency distribution.
+/// Runs the churn latency experiment on any engine: the configuration's
+/// deterministic failure plan, its adversary and `extra` (for example the
+/// partition experiment's link cuts) are applied together, and the healed
+/// latency distribution is returned.
+///
+/// Fault annotations and the client's per-query causal events flow into
+/// `telemetry.trace`, the clamped-sample counter into
+/// `telemetry.metrics`. The hooks never perturb the run, so the outcome
+/// is bit-identical with or without them, on any engine and shard count.
+///
+/// # Panics
+///
+/// Panics with the [`ChurnConfig::validate`] message on an invalid
+/// configuration.
 pub fn run_churn_experiment_on<E: Engine>(
-    engine_impl: &mut E,
-    config: &ChurnConfig,
-) -> ChurnOutcome {
-    run_churn_experiment_on_with(engine_impl, config, &ChaosPlan::new())
-}
-
-/// [`run_churn_experiment_on`] with an extra [`ChaosPlan`] applied on top
-/// of the configuration's own failure plan — the hook the partition
-/// experiment uses to cut link groups around the same client/relay/engine
-/// deployment.
-pub fn run_churn_experiment_on_with<E: Engine>(
-    engine_impl: &mut E,
-    config: &ChurnConfig,
-    extra: &ChaosPlan,
-) -> ChurnOutcome {
-    run_churn_experiment_on_observed(engine_impl, config, extra, &ChurnTelemetry::default())
-}
-
-/// [`run_churn_experiment_on_with`] plus observability: fault
-/// annotations and the client's per-query causal events flow into
-/// `telemetry.trace`, and the clamped-sample counter into
-/// `telemetry.metrics`. With the default (disabled) telemetry this *is*
-/// `run_churn_experiment_on_with` — the hooks never perturb the run, so
-/// the outcome is bit-identical either way.
-pub fn run_churn_experiment_on_observed<E: Engine>(
-    engine_impl: &mut E,
+    engine: &mut E,
     config: &ChurnConfig,
     extra: &ChaosPlan,
     telemetry: &ChurnTelemetry,
 ) -> ChurnOutcome {
-    assert!(config.relays > config.k, "need at least k + 1 relays");
-    engine_impl.set_default_latency(LatencyModel::wan());
-    let engine = NodeId(0);
-    let relays: Vec<NodeId> = (1..=config.relays as u64).map(NodeId).collect();
-    let client = NodeId(config.relays as u64 + 1);
-
-    let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed ^ 0xC4A0);
-    engine_impl.add_node(
-        engine,
-        Box::new(EngineBehavior {
-            processing: LatencyModel::search_engine_processing(),
-            rng: rng.fork(1),
-            pending: Vec::new(),
-            trace: telemetry.trace.clone(),
-        }),
-    );
-    // The byzantine coalition: the adversary config compiles into policy
-    // events, merged with whatever policy events the extra plan carries.
-    // Policies are data handed to each relay at build time; the shared
-    // ledger exists only when some relay is ever hostile, and honest
-    // relays never touch it (or their behaviour stream), so honest runs
-    // stay bit-identical to the pre-adversary experiment.
-    let adversary_plan = config
-        .adversary
-        .map(|a| a.plan(config.relays, config.seed))
-        .unwrap_or_default();
-    let any_hostile =
-        !adversary_plan.byzantine_relays().is_empty() || !extra.byzantine_relays().is_empty();
-    let ledger: Option<SharedCollusionLedger> =
-        any_hostile.then(|| Arc::new(Mutex::new(CollusionLedger::default())));
-    let processing = SimTime::from_nanos(relay_service_time_ns(&config.cost, 512));
-    for &relay in &relays {
-        let mut policies = adversary_plan.policy_schedule_for(relay);
-        policies.merge(&extra.policy_schedule_for(relay));
-        let hostile = policies.is_hostile();
-        engine_impl.add_node(
-            relay,
-            Box::new(RelayBehavior {
-                engine,
-                processing,
-                pending: Vec::new(),
-                incarnation: 0,
-                trace: telemetry.trace.clone(),
-                policies,
-                adv_rng: adversary_stream(config.seed, relay),
-                adversary: if hostile { ledger.clone() } else { None },
-            }),
-        );
-    }
-    // The failure plan is sampled up front so the client's trace
-    // annotations can tell injected-fault repairs from organic ones; the
-    // set is computed (deterministically) whether or not tracing is on.
-    let plan = config.failure_plan();
-    let victims: BTreeSet<NodeId> = plan
-        .events()
-        .iter()
-        .chain(extra.events())
-        .filter_map(|e| match e.kind {
-            FaultKind::Crash(node) | FaultKind::Leave(node) => Some(node),
-            _ => None,
-        })
-        .collect();
-    let sink = Arc::new(Mutex::new(ClientSink::default()));
-    engine_impl.add_node(
-        client,
-        Box::new(ClientBehavior {
-            relays: relays.clone(),
-            k: config.k,
-            queries: config.queries,
-            rng: rng.fork(2),
-            retry_timeout: config.retry_timeout,
-            max_retries: config.max_retries,
-            adaptive: config.adaptive,
-            uplink_per_request: config.client_uplink_per_request,
-            sent_at: Vec::new(),
-            answered: Vec::new(),
-            attempts: Vec::new(),
-            real_relay: Vec::new(),
-            fake_relays: Vec::new(),
-            blacklist: std::collections::BTreeMap::new(),
-            blacklist_ttl: config.blacklist_ttl,
-            outbox: Vec::new(),
-            sink: sink.clone(),
-            trace: telemetry.trace.clone(),
-            victims,
-            clamped_metric: telemetry
-                .metrics
-                .as_ref()
-                .map(|registry| registry.counter("client.clamped_samples")),
-            membership: config.membership,
-            detector: FailureDetector::new(PeerId(client.0), relays.iter().map(|r| PeerId(r.0)), 0),
-            probe_rng: rng.fork(3),
-            probe_seq: 0,
-            pending_probes: std::collections::BTreeMap::new(),
-            dead_cursor: 0,
-            probe_deadline: config.horizon(),
-        }),
-    );
-    for i in 0..config.queries {
-        engine_impl.schedule_timer(ChurnConfig::issued_at(i), client, i as u64);
-    }
-    if let Some(probe) = config.membership {
-        engine_impl.schedule_timer(probe.probe_period, client, PROBE_ROUND);
-    }
-
-    // Inject the faults: a recovering plan re-registers nothing (state is
-    // retained through crash/recover); a leaving plan needs no spawner
-    // either, because departed relays stay gone. The traced apply also
-    // stamps each fault as an annotation on the merged timeline.
-    let failed_relays = plan
+    let failure_plan = config.failure_plan();
+    let failed_relays = failure_plan
         .events()
         .iter()
         .filter(|e| matches!(e.kind, FaultKind::Crash(_) | FaultKind::Leave(_)))
         .count();
-    plan.apply_traced(engine_impl, &telemetry.trace);
-    extra.apply_traced(engine_impl, &telemetry.trace);
-    // Policy events schedule nothing on the engine (they were applied at
-    // behaviour build time); the traced apply only stamps the `adv.policy`
-    // activation annotations onto the merged timeline.
-    adversary_plan.apply_traced(engine_impl, &telemetry.trace);
-
-    engine_impl.run();
-    let mut byzantine: Vec<NodeId> = adversary_plan.byzantine_relays();
-    byzantine.extend(extra.byzantine_relays());
-    byzantine.sort_unstable_by_key(|n| n.0);
-    byzantine.dedup();
-    let (dropped, delayed, forged, observed_real, observed_total) = ledger
-        .map(|ledger| {
-            let ledger = ledger.lock().expect("ledger poisoned");
-            let (dropped, delayed, forged) = ledger.tampered();
-            (
-                dropped,
-                delayed,
-                forged,
-                ledger.observed_real(),
-                ledger.observed_total(),
-            )
+    let plan = config
+        .adversary
+        .map(|a| a.plan(config.relays, config.seed))
+        .unwrap_or_default()
+        .merge(failure_plan)
+        .merge(extra.clone());
+    let report = deployment::run(
+        engine,
+        config.deployment(),
+        &plan,
+        &telemetry.trace,
+        telemetry.metrics.as_ref(),
+    );
+    let outcome = report.outcome;
+    let answered_queries: Vec<AnsweredQuery> = outcome
+        .windows
+        .iter()
+        .filter(|w| w.answered > 0)
+        .map(|w| AnsweredQuery {
+            seq: w.first_seq as usize,
+            latency_s: w.latency_sum_s,
+            achieved_k: w.min_achieved_k,
         })
-        .unwrap_or_default();
-    let sink = sink.lock().expect("sink poisoned");
+        .collect();
     ChurnOutcome {
-        latencies: sink.latencies.clone(),
-        answered_queries: sink.answered_queries.clone(),
-        answered: sink.answered,
-        unanswered: config.queries - sink.answered,
-        retries: sink.retries,
-        fakes_topped_up: sink.fakes_topped_up,
-        fakes_topped_up_proactive: sink.fakes_topped_up_proactive,
-        clamped_samples: sink.clamped_samples,
+        answered: answered_queries.len(),
+        unanswered: config.queries - answered_queries.len(),
+        answered_queries,
+        retries: outcome.retries,
+        fakes_topped_up: outcome.fakes_topped_up,
+        fakes_topped_up_proactive: report.fakes_topped_up_proactive,
+        clamped_samples: outcome.clamped_samples,
         failed_relays,
-        byzantine_relays: byzantine.len(),
-        byzantine_dropped: dropped,
-        byzantine_delayed: delayed,
-        byzantine_forged_acks: forged,
-        colluded_real_observed: observed_real,
-        colluded_total_observed: observed_total,
-        stats: engine_impl.stats(),
+        byzantine_relays: outcome.byzantine_relays,
+        byzantine_dropped: outcome.byzantine_dropped,
+        byzantine_delayed: outcome.byzantine_delayed,
+        byzantine_forged_acks: report.byzantine_forged_acks,
+        colluded_real_observed: outcome.colluded_real_observed,
+        colluded_total_observed: report.colluded_total_observed,
+        violations: outcome.violations,
+        violation_count: outcome.violation_count,
+        stats: outcome.stats,
     }
 }
 
-/// [`run_churn_experiment_on`] on the sequential simulator.
+/// [`run_churn_experiment_on`] on the sequential simulator, with no extra
+/// plan and telemetry disabled.
 pub fn run_churn_experiment(config: &ChurnConfig) -> ChurnOutcome {
-    let mut simulation = Simulation::new(config.seed);
-    run_churn_experiment_on(&mut simulation, config)
-}
-
-/// [`run_churn_experiment_on`] on the sharded parallel engine. Same seed ⇒
-/// same outcome as the sequential run, bit for bit, for any shard count.
-pub fn run_churn_experiment_sharded(config: &ChurnConfig, shards: usize) -> ChurnOutcome {
-    let mut engine = ShardedEngine::new(config.seed, shards);
-    run_churn_experiment_on(&mut engine, config)
-}
-
-/// [`run_churn_experiment`] (sequential) with observability hooks and an
-/// extra [`ChaosPlan`]. The buffered timeline folds at export time.
-pub fn run_churn_experiment_observed(
-    config: &ChurnConfig,
-    extra: &ChaosPlan,
-    telemetry: &ChurnTelemetry,
-) -> ChurnOutcome {
-    let mut simulation = Simulation::new(config.seed);
-    run_churn_experiment_on_observed(&mut simulation, config, extra, telemetry)
-}
-
-/// [`run_churn_experiment_sharded`] with observability hooks and an
-/// extra [`ChaosPlan`]. The trace sink is also installed on the engine,
-/// which folds the timeline at every window barrier, and — when a
-/// registry is present — the engine's per-shard self-profiling is
-/// enabled. Same seed ⇒ same outcome *and* byte-identical trace export
-/// as the sequential observed run, for any shard count.
-pub fn run_churn_experiment_sharded_observed(
-    config: &ChurnConfig,
-    extra: &ChaosPlan,
-    shards: usize,
-    telemetry: &ChurnTelemetry,
-) -> ChurnOutcome {
-    let mut engine = ShardedEngine::new(config.seed, shards);
-    engine.set_trace_sink(telemetry.trace.clone());
-    if let Some(registry) = &telemetry.metrics {
-        engine.enable_profiling(registry);
-    }
-    run_churn_experiment_on_observed(&mut engine, config, extra, telemetry)
+    run_churn_experiment_on(
+        &mut Simulation::new(config.seed),
+        config,
+        &ChaosPlan::new(),
+        &ChurnTelemetry::default(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::ByzantinePolicy;
+    use cyclosa_runtime::ShardedEngine;
     use cyclosa_telemetry::AttrValue;
     use cyclosa_util::stats::Summary;
+    use std::collections::BTreeSet;
+
+    fn sharded(config: &ChurnConfig, shards: usize) -> ChurnOutcome {
+        run_churn_experiment_on(
+            &mut ShardedEngine::new(config.seed, shards),
+            config,
+            &ChaosPlan::new(),
+            &ChurnTelemetry::default(),
+        )
+    }
 
     fn small(failure_rate: f64, recover: bool) -> ChurnConfig {
         ChurnConfig {
@@ -1311,7 +448,7 @@ mod tests {
         let honest = run_churn_experiment(&small(0.0, false));
         let colluded = run_churn_experiment(&adversarial(ByzantinePolicy::Collude, 0.3));
         // Collusion is pure observation: the delivered run is identical.
-        assert_eq!(colluded.latencies, honest.latencies);
+        assert_eq!(colluded.latencies(), honest.latencies());
         assert_eq!(colluded.answered, honest.answered);
         assert_eq!(colluded.byzantine_relays, 6);
         assert!(
@@ -1350,8 +487,8 @@ mod tests {
             0.3,
         ));
         assert!(delayed.byzantine_delayed > 0);
-        let honest_mean = Summary::from_samples(&honest.latencies).mean;
-        let delayed_mean = Summary::from_samples(&delayed.latencies).mean;
+        let honest_mean = Summary::from_samples(&honest.latencies()).mean;
+        let delayed_mean = Summary::from_samples(&delayed.latencies()).mean;
         assert!(
             delayed_mean > honest_mean,
             "traffic shaping must show up in the mean ({delayed_mean} vs {honest_mean})"
@@ -1386,7 +523,7 @@ mod tests {
         assert!(sequential.byzantine_dropped > 0);
         for shards in [1, 2, 4, 8] {
             assert_eq!(
-                run_churn_experiment_sharded(&config, shards),
+                sharded(&config, shards),
                 sequential,
                 "adversarial outcome diverged with {shards} shards"
             );
@@ -1400,7 +537,7 @@ mod tests {
         assert_eq!(outcome.unanswered, 0);
         assert_eq!(outcome.retries, 0);
         assert_eq!(outcome.failed_relays, 0);
-        let median = Summary::from_samples(&outcome.latencies).median;
+        let median = Summary::from_samples(&outcome.latencies()).median;
         assert!(median > 0.3 && median < 2.0, "median {median}");
     }
 
@@ -1432,8 +569,8 @@ mod tests {
     fn churn_raises_the_tail_not_the_floor() {
         let calm = run_churn_experiment(&small(0.0, false));
         let stormy = run_churn_experiment(&small(0.4, false));
-        let calm_max = calm.latencies.iter().cloned().fold(0.0, f64::max);
-        let stormy_max = stormy.latencies.iter().cloned().fold(0.0, f64::max);
+        let calm_max = calm.latencies().iter().cloned().fold(0.0, f64::max);
+        let stormy_max = stormy.latencies().iter().cloned().fold(0.0, f64::max);
         assert!(
             stormy_max > calm_max,
             "retried queries must stretch the tail ({stormy_max} vs {calm_max})"
@@ -1447,7 +584,7 @@ mod tests {
         assert!(sequential.retries > 0 || sequential.answered == 40);
         for shards in [2, 4] {
             assert_eq!(
-                run_churn_experiment_sharded(&config, shards),
+                sharded(&config, shards),
                 sequential,
                 "outcome diverged with {shards} shards"
             );
@@ -1492,7 +629,12 @@ mod tests {
             trace: TraceSink::enabled(),
             metrics: Some(Registry::new()),
         };
-        let traced = run_churn_experiment_observed(&config, &ChaosPlan::new(), &telemetry);
+        let traced = run_churn_experiment_on(
+            &mut Simulation::new(config.seed),
+            &config,
+            &ChaosPlan::new(),
+            &telemetry,
+        );
         assert_eq!(traced, plain, "tracing must not perturb the run");
 
         let events = telemetry.trace.events();
@@ -1563,12 +705,8 @@ mod tests {
         let mut simulation = Simulation::new(config.seed);
         simulation.schedule_loss_probability(SimTime::from_secs(3), 0.5);
         simulation.schedule_loss_probability(SimTime::from_secs(6), 0.0);
-        let outcome = run_churn_experiment_on_observed(
-            &mut simulation,
-            &config,
-            &ChaosPlan::new(),
-            &telemetry,
-        );
+        let outcome =
+            run_churn_experiment_on(&mut simulation, &config, &ChaosPlan::new(), &telemetry);
 
         let events = telemetry.trace.events();
         let suspected: BTreeSet<u64> = events
@@ -1597,8 +735,11 @@ mod tests {
         }
         // Early forgiveness restores the full population: with the
         // permanent blacklist every falsely-suspected relay would have
-        // stayed barred instead.
-        assert_eq!(outcome.answered, 40);
+        // stayed barred instead. Query 11 launches at 5.5 s, when 11 of
+        // the 12 relays stand suspected; a launch with fewer than two
+        // usable relays is skipped, so it alone goes unanswered.
+        assert_eq!(outcome.answered, 39);
+        assert!(outcome.answered_queries.iter().all(|q| q.seq != 11));
     }
 
     #[test]
@@ -1650,7 +791,7 @@ mod tests {
         let sequential = run_churn_experiment(&config);
         for shards in [2, 4] {
             assert_eq!(
-                run_churn_experiment_sharded(&config, shards),
+                sharded(&config, shards),
                 sequential,
                 "membership-mode outcome diverged with {shards} shards"
             );
@@ -1666,5 +807,52 @@ mod tests {
         assert_eq!(outcome.fakes_topped_up, 0);
         assert_eq!(outcome.retries, 0);
         assert_eq!(outcome.answered, 40);
+    }
+
+    #[test]
+    fn heaviest_churn_config_holds_every_invariant() {
+        let config = ChurnConfig {
+            failure_rate: 0.4,
+            adaptive: true,
+            membership: Some(probing()),
+            ..adversarial(ByzantinePolicy::DropRealQueries { probability: 1.0 }, 0.3)
+        };
+        let outcome = run_churn_experiment(&config);
+        assert!(outcome.retries > 0 && outcome.byzantine_dropped > 0);
+        assert_eq!(outcome.violation_count, 0, "{:?}", outcome.violations);
+        assert!(outcome.violations.is_empty());
+    }
+
+    #[test]
+    fn validate_rejects_too_few_relays() {
+        let config = ChurnConfig {
+            relays: 3,
+            k: 3,
+            ..ChurnConfig::default()
+        };
+        let err = config
+            .validate()
+            .expect_err("3 relays cannot carry k + 1 = 4");
+        assert!(err.contains("k + 1 relays"), "got: {err}");
+    }
+
+    #[test]
+    fn validate_rejects_zero_queries() {
+        let config = ChurnConfig {
+            queries: 0,
+            ..ChurnConfig::default()
+        };
+        let err = config.validate().expect_err("an empty run proves nothing");
+        assert!(err.contains("queries"), "got: {err}");
+        assert_eq!(ChurnConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least k + 1 relays")]
+    fn runner_panics_with_the_validation_message() {
+        run_churn_experiment(&ChurnConfig {
+            relays: 2,
+            ..ChurnConfig::default()
+        });
     }
 }

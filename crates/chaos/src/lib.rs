@@ -16,10 +16,17 @@
 //! * [`plan`] — [`plan::ChaosPlan`], the scripted fault schedule a model
 //!   samples into (or that tests write by hand), applicable to any
 //!   [`cyclosa_net::engine::Engine`].
+//! * `deployment` (crate-private) — the one chaos deployment: a client,
+//!   relay and search-engine behaviour running the client-side healing
+//!   path the paper describes (blacklist the unresponsive relay, resubmit
+//!   through a fresh one, top up lost fakes), with an optional SWIM
+//!   prober, bounded resident state and in-run invariant checks. The
+//!   three experiments below are configurations of it: each lowers its
+//!   config into one deployment description and its faults into one
+//!   [`plan::ChaosPlan`].
 //! * [`experiment`] — the robustness-under-failure latency experiment:
-//!   the end-to-end deployment re-run under relay failures, with the
-//!   client-side healing path (blacklist the unresponsive relay, resubmit
-//!   through a fresh one) the paper describes.
+//!   the deployment re-run under sampled relay failures, one query every
+//!   500 ms, with a per-query `achieved_k` ledger.
 //! * [`partition`] — the network-partition experiment: the same
 //!   deployment cut into disconnected components by link-group loss
 //!   windows ([`plan::ChaosPlan::partition`]) that later re-merge, with
@@ -36,10 +43,10 @@
 //!   colluding observation pools) that [`adversary::AdversaryConfig`]
 //!   compiles into [`plan::ChaosPlan`] policy events, activated on
 //!   malicious relays at scripted times like any other fault.
-//! * [`soak`] — the long-horizon soak/stress driver: diurnal load with
-//!   flash crowds replayed over millions of queries while the
-//!   `achieved_k` ledger, plan-repair, probation, resident-bytes and
-//!   trace-schema invariants are asserted continuously, window by window.
+//! * [`soak`] — the long-horizon soak/stress workload: the same
+//!   deployment under diurnal load with flash crowds over millions of
+//!   queries, gated on the invariants plus a resident-bytes budget,
+//!   window by window.
 //! * [`attack`] — [`attack::ChurnedMechanism`], which thins a mechanism's
 //!   observable footprint the way relay failures do, so the Fig. 5
 //!   harness produces attack accuracy as a function of the failure rate,
@@ -102,6 +109,7 @@
 pub mod adversary;
 pub mod attack;
 pub mod churn;
+mod deployment;
 pub mod experiment;
 pub mod partition;
 pub mod plan;
@@ -117,15 +125,12 @@ pub use attack::{
 };
 pub use churn::{churn_stream, ChurnModel};
 pub use experiment::{
-    run_churn_experiment, run_churn_experiment_observed, run_churn_experiment_on,
-    run_churn_experiment_on_observed, run_churn_experiment_on_with, run_churn_experiment_sharded,
-    run_churn_experiment_sharded_observed, AnsweredQuery, ChurnConfig, ChurnOutcome,
+    run_churn_experiment, run_churn_experiment_on, AnsweredQuery, ChurnConfig, ChurnOutcome,
     ChurnTelemetry, MembershipProbeConfig,
 };
 pub use partition::{
-    run_partition_experiment, run_partition_experiment_observed, run_partition_experiment_on,
-    run_partition_experiment_on_observed, run_partition_experiment_sharded,
-    run_partition_experiment_sharded_observed, PartitionConfig, PartitionOutcome, PhaseSummary,
+    run_partition_experiment, run_partition_experiment_on, PartitionConfig, PartitionOutcome,
+    PhaseSummary,
 };
 pub use plan::{
     ChaosPlan, FaultEvent, FaultKind, LinkFault, PlanEntry, PlanEventClass, PolicyEvent,

@@ -27,14 +27,13 @@
 //! comparable to a failure-free baseline.
 
 use crate::experiment::{
-    run_churn_experiment_on_observed, AnsweredQuery, ChurnConfig, ChurnOutcome, ChurnTelemetry,
+    run_churn_experiment_on, AnsweredQuery, ChurnConfig, ChurnOutcome, ChurnTelemetry,
 };
 use crate::plan::ChaosPlan;
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_runtime::ShardedEngine;
 use cyclosa_util::stats::Summary;
 
 /// Configuration of the partition experiment: the churn deployment of
@@ -46,8 +45,8 @@ pub struct PartitionConfig {
     /// itself is the fault — and `blacklist_ttl` should be finite so the
     /// client forgives cross-partition relays after the merge.
     pub base: ChurnConfig,
-    /// Fraction of the relay population in the minority component
-    /// (clamped to keep both sides non-empty).
+    /// Fraction of the relay population in the minority component; both
+    /// sides must keep at least one relay (see [`Self::validate`]).
     pub minority_fraction: f64,
     /// Whether the client is caught in the minority component (the
     /// interesting case) or stays with the majority.
@@ -89,20 +88,44 @@ impl Default for PartitionConfig {
 }
 
 impl PartitionConfig {
+    /// Checks the configuration: a valid [`ChurnConfig`] base, a minority
+    /// of between 1 and `relays − 1` relays, a merge after the split, and
+    /// queries still issued after the post-merge settle window (else
+    /// there would be no during/post phase to measure). The partition
+    /// runners panic with this message.
+    pub fn validate(&self) -> Result<(), String> {
+        self.base.validate()?;
+        let minority = self.minority_relays().len();
+        if minority == 0 || minority >= self.base.relays {
+            return Err(format!(
+                "minority_fraction {} puts {minority} of {} relays in the minority; \
+                 both sides need at least one",
+                self.minority_fraction, self.base.relays
+            ));
+        }
+        if self.merge_at <= self.split_at {
+            return Err("merge_at must come after split_at".to_owned());
+        }
+        if self.merge_at + self.settle >= self.base.horizon() {
+            return Err(
+                "queries must still be issued after the post-merge settle window".to_owned(),
+            );
+        }
+        Ok(())
+    }
+
     /// The relays on the minority side: the first
-    /// `round(minority_fraction × relays)` relay ids, clamped so both
-    /// sides keep at least one relay.
+    /// `round(minority_fraction × relays)` relay ids.
     pub fn minority_relays(&self) -> Vec<NodeId> {
-        let count = ((self.base.relays as f64 * self.minority_fraction).round() as usize)
-            .clamp(1, self.base.relays - 1);
-        (1..=count as u64).map(NodeId).collect()
+        let count = (self.base.relays as f64 * self.minority_fraction).round() as u64;
+        (1..=count).map(NodeId).collect()
     }
 
     /// The two node groups of the split, client and (optionally) engine
-    /// included, matching the node ids laid out by the churn experiment.
+    /// included, matching the deployment's node layout (engine 0, relays
+    /// `1..=relays`, client `relays + 1`).
     pub fn groups(&self) -> (Vec<NodeId>, Vec<NodeId>) {
         let client = NodeId(self.base.relays as u64 + 1);
-        let engine = NodeId(0);
         let mut minority = self.minority_relays();
         let boundary = minority.len() as u64;
         let mut majority: Vec<NodeId> = (boundary + 1..=self.base.relays as u64)
@@ -114,7 +137,7 @@ impl PartitionConfig {
             majority.push(client);
         }
         if self.engine_partitioned {
-            majority.push(engine);
+            majority.push(NodeId(0));
         }
         (minority, majority)
     }
@@ -145,23 +168,6 @@ pub struct PhaseSummary {
     pub median_latency_s: f64,
 }
 
-impl PhaseSummary {
-    fn over(queries: &[&AnsweredQuery], issued: usize) -> Self {
-        let latencies: Vec<f64> = queries.iter().map(|q| q.latency_s).collect();
-        let mean_achieved_k = if queries.is_empty() {
-            0.0
-        } else {
-            queries.iter().map(|q| q.achieved_k as f64).sum::<f64>() / queries.len() as f64
-        };
-        Self {
-            issued,
-            answered: queries.len(),
-            mean_achieved_k,
-            median_latency_s: Summary::from_samples(&latencies).median,
-        }
-    }
-}
-
 /// What one partition run produced: the raw churn outcome plus the
 /// per-phase slicing.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,132 +184,73 @@ pub struct PartitionOutcome {
     pub post_merge: PhaseSummary,
 }
 
-/// When a query with this sequence number was issued (the churn
-/// experiment's cadence, shared through [`ChurnConfig::issued_at`] so
-/// phase attribution can never drift from the actual schedule).
-fn issued_at(seq: usize) -> SimTime {
-    ChurnConfig::issued_at(seq)
-}
-
-/// Runs the partition experiment on any engine: the churn deployment with
-/// the scripted split/re-merge applied on top, sliced into phases.
+/// Runs the partition experiment on any engine: the churn deployment
+/// with the scripted split/re-merge (plus `extra`) applied on top, sliced
+/// into phases. The underlying churn run's causal events, forwarding-path
+/// spans and fault annotations flow into `telemetry.trace` — ready for
+/// the SLO monitor (see [`crate::slo`]) to turn the split window's
+/// `achieved_k` dips into privacy burn alerts — without perturbing the
+/// outcome, which is bit-identical on any engine and shard count, the
+/// partition boundary crossing shard boundaries included.
 ///
 /// # Panics
 ///
-/// Panics if `merge_at <= split_at` or the window lies outside the span
-/// over which queries are issued (there would be no during/post phase to
-/// measure).
+/// Panics with the [`PartitionConfig::validate`] message on an invalid
+/// configuration.
 pub fn run_partition_experiment_on<E: Engine>(
-    engine_impl: &mut E,
+    engine: &mut E,
     config: &PartitionConfig,
-) -> PartitionOutcome {
-    run_partition_experiment_on_observed(engine_impl, config, &ChurnTelemetry::default())
-}
-
-/// [`run_partition_experiment_on`] plus observability: the underlying
-/// churn run's causal events, forwarding-path spans and fault
-/// annotations flow into `telemetry.trace` — ready for the SLO monitor
-/// (see [`crate::slo`]) to turn the split window's `achieved_k` dips
-/// into privacy burn alerts. With the default (disabled) telemetry this
-/// *is* `run_partition_experiment_on`.
-pub fn run_partition_experiment_on_observed<E: Engine>(
-    engine_impl: &mut E,
-    config: &PartitionConfig,
+    extra: &ChaosPlan,
     telemetry: &ChurnTelemetry,
 ) -> PartitionOutcome {
-    let settled_at = config.merge_at + config.settle;
-    assert!(
-        settled_at < config.base.horizon(),
-        "queries must still be issued after the post-merge settle window"
-    );
-    let outcome =
-        run_churn_experiment_on_observed(engine_impl, &config.base, &config.plan(), telemetry);
-    let phase_queries = |from: SimTime, to: SimTime| -> Vec<&AnsweredQuery> {
-        outcome
+    if let Err(message) = config.validate() {
+        panic!("{message}");
+    }
+    let plan = config.plan().merge(extra.clone());
+    let outcome = run_churn_experiment_on(engine, &config.base, &plan, telemetry);
+    let issued_at = ChurnConfig::issued_at;
+    let phase = |from: SimTime, to: SimTime| {
+        let answered: Vec<&AnsweredQuery> = outcome
             .answered_queries
             .iter()
-            .filter(|q| {
-                let at = issued_at(q.seq);
-                at >= from && at < to
-            })
-            .collect()
+            .filter(|q| (from..to).contains(&issued_at(q.seq)))
+            .collect();
+        let latencies: Vec<f64> = answered.iter().map(|q| q.latency_s).collect();
+        let achieved_k: usize = answered.iter().map(|q| q.achieved_k).sum();
+        PhaseSummary {
+            issued: (0..config.base.queries)
+                .filter(|seq| (from..to).contains(&issued_at(*seq)))
+                .count(),
+            answered: answered.len(),
+            mean_achieved_k: achieved_k as f64 / answered.len().max(1) as f64,
+            median_latency_s: Summary::from_samples(&latencies).median,
+        }
     };
-    let issued_in = |from: SimTime, to: SimTime| -> usize {
-        (0..config.base.queries)
-            .filter(|seq| {
-                let at = issued_at(*seq);
-                at >= from && at < to
-            })
-            .count()
-    };
-    let horizon = config.base.horizon();
-    let pre_split = PhaseSummary::over(
-        &phase_queries(SimTime::ZERO, config.split_at),
-        issued_in(SimTime::ZERO, config.split_at),
-    );
-    let during = PhaseSummary::over(
-        &phase_queries(config.split_at, settled_at),
-        issued_in(config.split_at, settled_at),
-    );
-    let post_merge = PhaseSummary::over(
-        &phase_queries(settled_at, horizon),
-        issued_in(settled_at, horizon),
-    );
+    let settled_at = config.merge_at + config.settle;
     PartitionOutcome {
+        pre_split: phase(SimTime::ZERO, config.split_at),
+        during: phase(config.split_at, settled_at),
+        post_merge: phase(settled_at, config.base.horizon()),
         churn: outcome,
-        pre_split,
-        during,
-        post_merge,
     }
 }
 
-/// [`run_partition_experiment_on`] on the sequential simulator.
+/// [`run_partition_experiment_on`] on the sequential simulator, with no
+/// extra plan and telemetry disabled.
 pub fn run_partition_experiment(config: &PartitionConfig) -> PartitionOutcome {
-    let mut simulation = Simulation::new(config.base.seed);
-    run_partition_experiment_on(&mut simulation, config)
-}
-
-/// [`run_partition_experiment_on`] on the sharded parallel engine. Same
-/// seed ⇒ same outcome as the sequential run, bit for bit, for any shard
-/// count — the partition boundary crossing shard boundaries included.
-pub fn run_partition_experiment_sharded(
-    config: &PartitionConfig,
-    shards: usize,
-) -> PartitionOutcome {
-    let mut engine = ShardedEngine::new(config.base.seed, shards);
-    run_partition_experiment_on(&mut engine, config)
-}
-
-/// [`run_partition_experiment`] (sequential) with observability hooks.
-pub fn run_partition_experiment_observed(
-    config: &PartitionConfig,
-    telemetry: &ChurnTelemetry,
-) -> PartitionOutcome {
-    let mut simulation = Simulation::new(config.base.seed);
-    run_partition_experiment_on_observed(&mut simulation, config, telemetry)
-}
-
-/// [`run_partition_experiment_sharded`] with observability hooks: the
-/// trace sink is installed on the engine (barrier-merged timeline) and,
-/// when a registry is present, per-shard self-profiling is enabled. Same
-/// seed ⇒ byte-identical trace export as the sequential observed run.
-pub fn run_partition_experiment_sharded_observed(
-    config: &PartitionConfig,
-    shards: usize,
-    telemetry: &ChurnTelemetry,
-) -> PartitionOutcome {
-    let mut engine = ShardedEngine::new(config.base.seed, shards);
-    engine.set_trace_sink(telemetry.trace.clone());
-    if let Some(registry) = &telemetry.metrics {
-        engine.enable_profiling(registry);
-    }
-    run_partition_experiment_on_observed(&mut engine, config, telemetry)
+    run_partition_experiment_on(
+        &mut Simulation::new(config.base.seed),
+        config,
+        &ChaosPlan::new(),
+        &ChurnTelemetry::default(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_churn_experiment_on_with;
+    use crate::experiment::run_churn_experiment;
+    use cyclosa_runtime::ShardedEngine;
 
     fn small() -> PartitionConfig {
         PartitionConfig {
@@ -386,11 +333,7 @@ mod tests {
         // that never split.
         let config = small();
         let partitioned = run_partition_experiment(&config);
-        let calm = run_churn_experiment_on_with(
-            &mut Simulation::new(config.base.seed),
-            &config.base,
-            &ChaosPlan::new(),
-        );
+        let calm = run_churn_experiment(&config.base);
         let calm_mean = calm
             .answered_queries
             .iter()
@@ -422,9 +365,14 @@ mod tests {
         let config = small();
         let sequential = run_partition_experiment(&config);
         for shards in [2, 4] {
+            let sharded = run_partition_experiment_on(
+                &mut ShardedEngine::new(config.base.seed, shards),
+                &config,
+                &ChaosPlan::new(),
+                &ChurnTelemetry::default(),
+            );
             assert_eq!(
-                run_partition_experiment_sharded(&config, shards),
-                sequential,
+                sharded, sequential,
                 "partition outcome diverged with {shards} shards"
             );
         }
@@ -438,5 +386,55 @@ mod tests {
             ..small()
         };
         let _ = run_partition_experiment(&config);
+    }
+
+    #[test]
+    fn default_partition_holds_every_invariant() {
+        let outcome = run_partition_experiment(&PartitionConfig::default());
+        assert!(outcome.churn.retries > 0, "the split must force repairs");
+        assert_eq!(
+            outcome.churn.violation_count, 0,
+            "{:?}",
+            outcome.churn.violations
+        );
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_minority() {
+        let config = PartitionConfig {
+            minority_fraction: 0.01,
+            ..small()
+        };
+        assert!(config.validate().unwrap_err().contains("minority"));
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_majority() {
+        let config = PartitionConfig {
+            minority_fraction: 0.99,
+            ..small()
+        };
+        assert!(config.validate().unwrap_err().contains("minority"));
+    }
+
+    #[test]
+    fn validate_rejects_a_merge_before_the_split() {
+        let config = PartitionConfig {
+            merge_at: SimTime::from_secs(5),
+            ..small()
+        };
+        assert!(config.validate().unwrap_err().contains("merge_at"));
+    }
+
+    #[test]
+    fn validate_rejects_an_invalid_base() {
+        let config = PartitionConfig {
+            base: ChurnConfig {
+                relays: 3,
+                ..small().base
+            },
+            ..small()
+        };
+        assert!(config.validate().unwrap_err().contains("k + 1 relays"));
     }
 }

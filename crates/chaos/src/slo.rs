@@ -68,7 +68,7 @@ pub fn evaluate_timeline_slos(config: SloConfig, events: &[TraceEvent]) -> SloOu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_churn_experiment_on_observed;
+    use crate::experiment::run_churn_experiment_on;
     use crate::plan::ChaosPlan;
     use cyclosa_net::sim::Simulation;
     use cyclosa_net::time::SimTime;
@@ -91,7 +91,7 @@ mod tests {
             metrics: None,
         };
         let mut simulation = Simulation::new(config.seed);
-        run_churn_experiment_on_observed(&mut simulation, config, plan, &telemetry);
+        run_churn_experiment_on(&mut simulation, config, plan, &telemetry);
         let outcome = evaluate_churn_slos(config, &telemetry);
         (telemetry, outcome)
     }

@@ -1,65 +1,26 @@
-//! Long-horizon soak/stress driver: the churn deployment replayed over
-//! **millions** of queries with realistic load shape — a diurnal
-//! sinusoid, flash crowds, model-driven churn and (optionally) an active
-//! byzantine coalition — while continuously asserting the run's
-//! invariants instead of just summarising it.
-//!
-//! The short churn experiment ([`crate::experiment`]) keeps per-query
-//! state for the whole run, which is the right trade for 200 queries and
-//! the wrong one for 10⁶. The soak driver is the memory-bounded variant:
-//!
-//! * the client **chains** its next launch timer instead of scheduling a
-//!   million timers up front, and prunes each query's state the moment it
-//!   is answered (or exhausts its retries), so resident state tracks the
-//!   in-flight window, not the horizon;
-//! * relays and the engine keep their in-service requests in maps that
-//!   shrink on completion, never append-only vectors;
-//! * results aggregate into fixed-size per-window ledgers
-//!   ([`SoakWindow`]) rather than per-query vectors.
-//!
-//! Invariants are checked **during** the run (violations collect into
-//! [`SoakOutcome::violations`], capped so a broken run cannot OOM the
-//! reporter): the `achieved_k` ledger never exceeds the configured `k`,
-//! requests are never handed to a relay whose blacklist probation is in
-//! force, plans never double up relays, latency samples never clamp, and
-//! the client's modelled resident footprint stays under
-//! [`SoakConfig::resident_budget_bytes`]. [`SoakOutcome::gate`] turns the
-//! outcome into a CI pass/fail.
+//! Long-horizon soak/stress driver: the chaos deployment behind
+//! [`crate::experiment`] replayed over **millions** of queries with
+//! realistic load shape — a diurnal sinusoid, flash crowds, model-driven
+//! churn and (optionally) an active byzantine coalition — with results in
+//! fixed-size per-window ledgers ([`SoakWindow`]). On top of the in-run
+//! invariants every experiment checks, the soak budgets the client's
+//! modelled resident footprint ([`SoakConfig::resident_budget_bytes`]),
+//! and [`SoakOutcome::gate`] turns the outcome into a CI pass/fail.
 //!
 //! Like every experiment in the reproduction, a soak run is a pure
 //! function of its seed: bit-identical across engines and shard counts,
 //! adversary included.
 
-use crate::adversary::{
-    adversary_stream, AdversaryConfig, CollusionLedger, PolicySchedule, SharedCollusionLedger,
-};
+use crate::adversary::AdversaryConfig;
 use crate::churn::ChurnModel;
-use crate::experiment::{on_probation, parse_client, parse_real_seq};
-use cyclosa::deployment::relay_service_time_ns;
+use crate::deployment::{self, Deployment};
 use cyclosa_net::engine::Engine;
-use cyclosa_net::latency::LatencyModel;
-use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation, SimulationStats};
+use cyclosa_net::sim::{Simulation, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_runtime::ShardedEngine;
 use cyclosa_sgx::enclave::CostModel;
-use cyclosa_telemetry::{TraceEvent, TraceSink};
-use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
-
-const TAG_FORWARD: u32 = 1;
-const TAG_ENGINE_QUERY: u32 = 2;
-const TAG_ENGINE_RESPONSE: u32 = 3;
-const TAG_RESPONSE: u32 = 4;
-
-const TOKEN_LAUNCH: u64 = 1 << 44;
-const OUTBOX_BASE: u64 = 1 << 40;
-const RETRY_BASE: u64 = 1 << 41;
-
-/// How many invariant violations are recorded verbatim before the rest
-/// only counts — a broken soak must fail loudly, not OOM the reporter.
-const MAX_RECORDED_VIOLATIONS: usize = 16;
+use cyclosa_telemetry::TraceSink;
 
 /// The load shape of a soak run: inter-arrival intervals as a **pure
 /// function of the query sequence number** — a diurnal sinusoid with
@@ -87,22 +48,23 @@ pub struct ArrivalModel {
 
 impl ArrivalModel {
     /// The interval between the launches of queries `seq` and `seq + 1`.
+    /// Expects a validated model (see [`SoakConfig::validate`]).
     pub fn interval(&self, seq: u64) -> SimTime {
-        let period = self.diurnal_period_queries.max(1) as f64;
+        let period = self.diurnal_period_queries as f64;
         let phase = (seq as f64 / period) * std::f64::consts::TAU;
-        let mut scale = 1.0 + self.diurnal_amplitude.clamp(0.0, 0.99) * phase.sin();
+        let mut scale = 1.0 + self.diurnal_amplitude * phase.sin();
         for crowd in 0..self.flash_crowds {
             let center = (crowd as u64 + 1) * self.queries / (self.flash_crowds as u64 + 1);
             if seq.abs_diff(center) <= self.flash_width_queries {
-                scale /= self.flash_boost.max(1.0);
+                scale /= self.flash_boost;
             }
         }
         let nanos = (self.base_interval.as_nanos() as f64 * scale).max(1.0);
         SimTime::from_nanos(nanos as u64)
     }
 
-    /// When query `seq` launches, relative to the first launch: the
-    /// running sum of intervals. `O(seq)` — meant for horizon
+    /// When query `seq` launches: the running sum of the intervals before
+    /// it, so query 0 launches at time zero. `O(seq)` — meant for horizon
     /// computation, not per-event use (the client accumulates
     /// incrementally by chaining timers).
     pub fn launch_at(&self, seq: u64) -> SimTime {
@@ -141,7 +103,7 @@ pub struct SoakConfig {
     /// population). [`ChurnModel::Trace`] replays a recorded timeline.
     pub churn: Option<ChurnModel>,
     /// Optional byzantine coalition (see [`crate::adversary`]). The soak
-    /// path carries no liveness probes, so `ForgeIncarnation` is inert
+    /// runs without the membership prober, so `ForgeIncarnation` is inert
     /// here; drop/delay/collude all bite.
     pub adversary: Option<AdversaryConfig>,
     /// How long the client waits for the real answer before blacklisting
@@ -149,7 +111,8 @@ pub struct SoakConfig {
     pub retry_timeout: SimTime,
     /// Maximum resubmissions per query.
     pub max_retries: u32,
-    /// Adaptive-k plan repair on retries (see [`crate::experiment`]).
+    /// Adaptive-k plan repair on retries (see
+    /// [`crate::experiment::ChurnConfig::adaptive`]).
     pub adaptive: bool,
     /// Blacklist probation: entries expire after this long, letting the
     /// client retry relays that were merely unreachable. `None`
@@ -223,13 +186,38 @@ impl SoakConfig {
 
     /// Number of ledger windows of the run.
     pub fn windows(&self) -> usize {
-        self.queries.div_ceil(self.window_queries.max(1)) as usize
+        self.queries.div_ceil(self.window_queries) as usize
+    }
+
+    /// Checks the configuration: `k + 1` relays, queries, a positive
+    /// window, a diurnal amplitude in `[0, 1)`, a positive diurnal period
+    /// and a flash boost of at least 1. The runners panic with the error.
+    pub fn validate(&self) -> Result<(), String> {
+        self.deployment().validate()
+    }
+
+    fn deployment(&self) -> Deployment {
+        Deployment {
+            relays: self.relays,
+            k: self.k,
+            queries: self.queries,
+            seed: self.seed,
+            arrival: self.arrival(),
+            window_queries: self.window_queries,
+            retry_timeout: self.retry_timeout,
+            max_retries: self.max_retries,
+            adaptive: self.adaptive,
+            blacklist_ttl: self.blacklist_ttl,
+            membership: None,
+            uplink_per_request: self.client_uplink_per_request,
+            cost: self.cost,
+        }
     }
 }
 
 /// One fixed-size ledger window: everything the soak remembers about
 /// `window_queries` consecutive launches.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SoakWindow {
     /// First query sequence number of the window.
     pub first_seq: u64,
@@ -255,18 +243,11 @@ pub struct SoakWindow {
 }
 
 impl SoakWindow {
-    fn new(first_seq: u64) -> Self {
+    pub(crate) fn new(first_seq: u64) -> Self {
         Self {
             first_seq,
-            launched: 0,
-            skipped: 0,
-            answered: 0,
-            retries: 0,
-            topped_up: 0,
-            under_target: 0,
             min_achieved_k: usize::MAX,
-            latency_sum_s: 0.0,
-            latency_max_s: 0.0,
+            ..Self::default()
         }
     }
 
@@ -281,7 +262,7 @@ impl SoakWindow {
 }
 
 /// What one soak run produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SoakOutcome {
     /// The per-window ledgers, in launch order.
     pub windows: Vec<SoakWindow>,
@@ -368,701 +349,55 @@ impl SoakOutcome {
     }
 }
 
-#[derive(Default)]
-struct SoakSink {
-    windows: Vec<SoakWindow>,
-    answered: u64,
-    retries: u64,
-    fakes_topped_up: u64,
-    clamped_samples: u64,
-    peak_inflight: u64,
-    peak_resident_bytes: usize,
-    peak_relay_pending: u64,
-    peak_engine_pending: u64,
-    violations: Vec<String>,
-    violation_count: u64,
-}
-
-impl SoakSink {
-    fn violation(&mut self, message: String) {
-        self.violation_count += 1;
-        if self.violations.len() < MAX_RECORDED_VIOLATIONS {
-            self.violations.push(message);
-        }
-    }
-}
-
-type SharedSink = Arc<Mutex<SoakSink>>;
-
-/// A relay of the soak deployment: same forwarding semantics as the
-/// churn experiment's relay (byzantine policies included), but the
-/// in-service queue is a map pruned on completion so a 10⁶-query run
-/// stays flat in memory.
-struct SoakRelayBehavior {
-    engine: NodeId,
-    processing: SimTime,
-    pending: BTreeMap<u64, Envelope>,
-    next_token: u64,
-    trace: TraceSink,
-    policies: PolicySchedule,
-    adv_rng: Xoshiro256StarStar,
-    adversary: Option<SharedCollusionLedger>,
-    sink: SharedSink,
-    local_peak: u64,
-}
-
-impl NodeBehavior for SoakRelayBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        match envelope.tag {
-            TAG_FORWARD => {
-                let policy = self.policies.at(ctx.now());
-                let extra = if policy.is_hostile() {
-                    let verdict = policy.apply_to_forward(
-                        ctx.now(),
-                        ctx.self_id().0,
-                        parse_client(&envelope.payload).map(|n| n.0).unwrap_or(0),
-                        parse_real_seq(&envelope.payload),
-                        self.adversary.as_ref(),
-                        &mut self.adv_rng,
-                        &self.trace,
-                    );
-                    match verdict {
-                        Some(extra) => extra,
-                        None => return, // swallowed by a drop policy
-                    }
-                } else {
-                    SimTime::ZERO
-                };
-                let token = self.next_token;
-                self.next_token += 1;
-                self.pending.insert(token, envelope);
-                if self.pending.len() as u64 > self.local_peak {
-                    self.local_peak = self.pending.len() as u64;
-                    let mut sink = self.sink.lock().expect("sink poisoned");
-                    sink.peak_relay_pending = sink.peak_relay_pending.max(self.local_peak);
-                }
-                ctx.set_timer(self.processing + extra, token);
-            }
-            TAG_ENGINE_RESPONSE => {
-                if let Some(client) = parse_client(&envelope.payload) {
-                    ctx.send(client, TAG_RESPONSE, envelope.payload);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if let Some(envelope) = self.pending.remove(&token) {
-            if self.trace.is_enabled() {
-                if let Some(seq) = parse_real_seq(&envelope.payload) {
-                    self.trace.emit(
-                        TraceEvent::new(ctx.now(), ctx.self_id().0, "relay.forward")
-                            .query(seq)
-                            .span(self.processing),
-                    );
-                }
-            }
-            ctx.send(self.engine, TAG_ENGINE_QUERY, envelope.payload);
-        }
-    }
-}
-
-/// The search-engine node, pruned like the relay.
-struct SoakEngineBehavior {
-    processing: LatencyModel,
-    rng: Xoshiro256StarStar,
-    pending: BTreeMap<u64, (NodeId, Vec<u8>, SimTime)>,
-    next_token: u64,
-    trace: TraceSink,
-    sink: SharedSink,
-    local_peak: u64,
-}
-
-impl NodeBehavior for SoakEngineBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        if envelope.tag != TAG_ENGINE_QUERY {
-            return;
-        }
-        // Sampled unconditionally — tracing must never advance or skip a
-        // draw, or observed runs would diverge from unobserved ones.
-        let delay = self.processing.sample(&mut self.rng);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.pending
-            .insert(token, (envelope.src, envelope.payload, delay));
-        if self.pending.len() as u64 > self.local_peak {
-            self.local_peak = self.pending.len() as u64;
-            let mut sink = self.sink.lock().expect("sink poisoned");
-            sink.peak_engine_pending = sink.peak_engine_pending.max(self.local_peak);
-        }
-        ctx.set_timer(delay, token);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if let Some((relay, payload, delay)) = self.pending.remove(&token) {
-            if self.trace.is_enabled() {
-                if let Some(seq) = parse_real_seq(&payload) {
-                    self.trace.emit(
-                        TraceEvent::new(ctx.now(), ctx.self_id().0, "engine.service")
-                            .query(seq)
-                            .span(delay),
-                    );
-                }
-            }
-            ctx.send(relay, TAG_ENGINE_RESPONSE, payload);
-        }
-    }
-}
-
-/// One in-flight query plan; pruned from the client's map the moment the
-/// answer arrives or the retry budget is exhausted (late answers after
-/// exhaustion are discarded — bounded memory requires closing plans).
-struct Inflight {
-    sent_at: SimTime,
-    attempts: u32,
-    real_relay: Option<NodeId>,
-    fake_relays: Vec<NodeId>,
-}
-
-/// Modelled resident cost of one in-flight map entry (key + struct); the
-/// fake list adds [`PEER_COST`] per entry on top.
-const INFLIGHT_COST: usize = 96;
-/// Modelled resident cost per relay id held in a fake list.
-const PEER_COST: usize = 8;
-/// Modelled resident cost of one outbox entry, excluding the payload.
-const OUTBOX_COST: usize = 64;
-/// Modelled resident cost of one blacklist entry.
-const BLACKLIST_COST: usize = 48;
-
-struct SoakClientBehavior {
-    relays: Vec<NodeId>,
-    k: usize,
-    queries: u64,
-    window_queries: u64,
-    arrival: ArrivalModel,
-    rng: Xoshiro256StarStar,
-    retry_timeout: SimTime,
-    max_retries: u32,
-    adaptive: bool,
-    uplink_per_request: SimTime,
-    next_seq: u64,
-    inflight: BTreeMap<u64, Inflight>,
-    blacklist: BTreeMap<NodeId, SimTime>,
-    blacklist_ttl: Option<SimTime>,
-    outbox: BTreeMap<u64, (NodeId, Vec<u8>)>,
-    next_outbox: u64,
-    /// High-water marks reported to the sink only when they move — the
-    /// peaks are maxima, so reporting order across shards cannot matter.
-    peak_resident: usize,
-    peak_inflight: u64,
-    sink: SharedSink,
-    trace: TraceSink,
-}
-
-impl SoakClientBehavior {
-    fn window_index(&self, seq: u64) -> usize {
-        (seq / self.window_queries.max(1)) as usize
-    }
-
-    fn usable(&self, now: SimTime) -> Vec<NodeId> {
-        self.relays
-            .iter()
-            .copied()
-            .filter(|r| !on_probation(&self.blacklist, self.blacklist_ttl, *r, now))
-            .collect()
-    }
-
-    /// Recomputes the modelled resident footprint after a state change
-    /// and records the peaks. Incremental bookkeeping would be cheaper
-    /// but easy to desynchronise; the in-flight window is small (pruning
-    /// is the whole point), so a full walk per mutation batch is fine.
-    fn account(&mut self) {
-        let inflight: usize = self
-            .inflight
-            .values()
-            .map(|q| INFLIGHT_COST + q.fake_relays.len() * PEER_COST)
-            .sum();
-        let outbox: usize = self
-            .outbox
-            .values()
-            .map(|(_, payload)| OUTBOX_COST + payload.len())
-            .sum();
-        let total = inflight + outbox + self.blacklist.len() * BLACKLIST_COST;
-        let count = self.inflight.len() as u64;
-        if total > self.peak_resident || count > self.peak_inflight {
-            self.peak_resident = self.peak_resident.max(total);
-            self.peak_inflight = self.peak_inflight.max(count);
-            let mut sink = self.sink.lock().expect("sink poisoned");
-            sink.peak_resident_bytes = sink.peak_resident_bytes.max(self.peak_resident);
-            sink.peak_inflight = sink.peak_inflight.max(self.peak_inflight);
-        }
-    }
-
-    /// Hands one request to a relay, asserting the probation invariant:
-    /// a blacklisted relay must never be selected while its probation is
-    /// in force.
-    fn defer_send(&mut self, ctx: &mut Context<'_>, relay: NodeId, payload: Vec<u8>, slot: u64) {
-        if on_probation(&self.blacklist, self.blacklist_ttl, relay, ctx.now()) {
-            self.sink.lock().expect("sink poisoned").violation(format!(
-                "probation breach: relay {} selected at {} while blacklisted",
-                relay.0,
-                ctx.now()
-            ));
-        }
-        let token = OUTBOX_BASE + self.next_outbox;
-        self.next_outbox += 1;
-        self.outbox.insert(token, (relay, payload));
-        let delay = SimTime::from_nanos(self.uplink_per_request.as_nanos() * (slot + 1));
-        ctx.set_timer(delay, token);
-    }
-
-    fn launch(&mut self, ctx: &mut Context<'_>) {
-        let seq = self.next_seq;
-        if seq >= self.queries {
-            return;
-        }
-        self.next_seq += 1;
-        // Chain the next launch before doing anything else, so a
-        // pathological window can never stall the arrival process.
-        if self.next_seq < self.queries {
-            ctx.set_timer(self.arrival.interval(seq), TOKEN_LAUNCH);
-        }
-        let window = self.window_index(seq);
-        let usable = self.usable(ctx.now());
-        if usable.len() < 2 {
-            // Not enough population for even a degenerate plan: count the
-            // launch as skipped (it stays unanswered) and move on.
-            let mut sink = self.sink.lock().expect("sink poisoned");
-            sink.windows[window].launched += 1;
-            sink.windows[window].skipped += 1;
-            return;
-        }
-        let picks = self.rng.sample_indices(usable.len(), self.k + 1);
-        let real_slot = self.rng.gen_index(picks.len());
-        let mut entry = Inflight {
-            sent_at: ctx.now(),
-            attempts: 0,
-            real_relay: None,
-            fake_relays: Vec::with_capacity(self.k),
-        };
-        let mut sends: Vec<(NodeId, Vec<u8>, u64)> = Vec::with_capacity(picks.len());
-        for (slot, relay_index) in picks.into_iter().enumerate() {
-            let relay = usable[relay_index];
-            let flag = if slot == real_slot { "R" } else { "F" };
-            let payload = format!(
-                "{}|{}|{}|query number {} terms",
-                ctx.self_id().0,
-                seq,
-                flag,
-                seq
-            );
-            if slot == real_slot {
-                entry.real_relay = Some(relay);
-            } else {
-                entry.fake_relays.push(relay);
-            }
-            sends.push((relay, payload.into_bytes(), slot as u64));
-        }
-        // Plan-distinctness invariant: `sample_indices` draws without
-        // replacement, so a duplicate relay means the sampler broke.
-        let mut relays_used: Vec<NodeId> = entry.fake_relays.clone();
-        relays_used.extend(entry.real_relay);
-        relays_used.sort_unstable_by_key(|n| n.0);
-        let before = relays_used.len();
-        relays_used.dedup();
-        if relays_used.len() != before {
-            self.sink
-                .lock()
-                .expect("sink poisoned")
-                .violation(format!("plan for query {seq} doubled up a relay"));
-        }
-        if self.trace.is_enabled() {
-            if let Some(real) = entry.real_relay {
-                self.trace.emit(
-                    TraceEvent::new(ctx.now(), ctx.self_id().0, "query.launch")
-                        .query(seq)
-                        .attr("relay", real.0)
-                        .attr("fakes", entry.fake_relays.len()),
-                );
-            }
-        }
-        self.inflight.insert(seq, entry);
-        self.sink.lock().expect("sink poisoned").windows[window].launched += 1;
-        for (relay, payload, slot) in sends {
-            self.defer_send(ctx, relay, payload, slot);
-        }
-        self.account();
-        ctx.set_timer(self.retry_timeout, RETRY_BASE + seq);
-    }
-
-    fn retry(&mut self, ctx: &mut Context<'_>, seq: u64) {
-        let now = ctx.now();
-        let window = self.window_index(seq);
-        let Some(entry) = self.inflight.get_mut(&seq) else {
-            return; // answered and pruned — the timer outlived the query
-        };
-        if entry.attempts >= self.max_retries {
-            // Retry budget exhausted: the query stays unanswered; prune
-            // its state so the resident footprint tracks the live window.
-            self.inflight.remove(&seq);
-            self.account();
-            return;
-        }
-        let failed = entry.real_relay.take();
-        entry.attempts += 1;
-        let attempts = entry.attempts;
-        let fakes = entry.fake_relays.clone();
-        if let Some(dead) = failed {
-            self.blacklist.insert(dead, now);
-        }
-        let usable = self.usable(now);
-        if usable.is_empty() {
-            ctx.set_timer(self.retry_timeout, RETRY_BASE + seq);
-            return;
-        }
-        {
-            let mut sink = self.sink.lock().expect("sink poisoned");
-            sink.retries += 1;
-            sink.windows[window].retries += 1;
-        }
-        // Keep the plan's relays distinct (the core repair's rule):
-        // prefer a replacement not already carrying one of this query's
-        // fakes, falling back to any usable relay only when the
-        // population is too depleted to avoid it.
-        let distinct: Vec<NodeId> = usable
-            .iter()
-            .copied()
-            .filter(|r| !fakes.contains(r))
-            .collect();
-        let pool = if distinct.is_empty() {
-            &usable
-        } else {
-            &distinct
-        };
-        let replacement = pool[self.rng.gen_index(pool.len())];
-        if let Some(entry) = self.inflight.get_mut(&seq) {
-            entry.real_relay = Some(replacement);
-        }
-        if self.trace.is_enabled() {
-            let mut event = TraceEvent::new(now, ctx.self_id().0, "query.repair")
-                .query(seq)
-                .attr("attempt", attempts);
-            if let Some(dead) = failed {
-                event = event.attr("failed", dead.0);
-            }
-            self.trace.emit(event.attr("replacement", replacement.0));
-        }
-        let payload = format!("{}|{}|R|query number {} terms", ctx.self_id().0, seq, seq);
-        self.defer_send(ctx, replacement, payload.into_bytes(), 0);
-        if self.adaptive {
-            self.top_up_fakes(ctx, seq, replacement);
-        }
-        self.account();
-        ctx.set_timer(self.retry_timeout, RETRY_BASE + seq);
-    }
-
-    /// The adaptive-k repair: fakes entrusted to meanwhile-blacklisted
-    /// relays are presumed lost with them, so the resubmission carries
-    /// the shortfall too.
-    fn top_up_fakes(&mut self, ctx: &mut Context<'_>, seq: u64, real_replacement: NodeId) {
-        let now = ctx.now();
-        let window = self.window_index(seq);
-        let blacklist = &self.blacklist;
-        let ttl = self.blacklist_ttl;
-        let Some(entry) = self.inflight.get_mut(&seq) else {
-            return;
-        };
-        entry
-            .fake_relays
-            .retain(|r| !on_probation(blacklist, ttl, *r, now));
-        let shortfall = self.k.saturating_sub(entry.fake_relays.len());
-        if shortfall == 0 {
-            return;
-        }
-        let in_use = entry.fake_relays.clone();
-        let candidates: Vec<NodeId> = self
-            .usable(now)
-            .into_iter()
-            .filter(|r| *r != real_replacement && !in_use.contains(r))
-            .collect();
-        let picks = self
-            .rng
-            .sample_indices(candidates.len(), shortfall.min(candidates.len()));
-        let mut sends: Vec<(NodeId, Vec<u8>, u64)> = Vec::new();
-        let mut topped_up = 0u64;
-        if let Some(entry) = self.inflight.get_mut(&seq) {
-            for (slot, index) in picks.into_iter().enumerate() {
-                let relay = candidates[index];
-                let payload = format!("{}|{}|F|query number {} terms", ctx.self_id().0, seq, seq);
-                sends.push((relay, payload.into_bytes(), slot as u64 + 1));
-                entry.fake_relays.push(relay);
-                topped_up += 1;
-            }
-        }
-        for (relay, payload, slot) in sends {
-            self.defer_send(ctx, relay, payload, slot);
-        }
-        if topped_up > 0 {
-            {
-                let mut sink = self.sink.lock().expect("sink poisoned");
-                sink.fakes_topped_up += topped_up;
-                sink.windows[window].topped_up += topped_up;
-            }
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "query.top_up")
-                        .query(seq)
-                        .attr("count", topped_up),
-                );
-            }
-        }
-    }
-
-    fn answered(&mut self, ctx: &mut Context<'_>, seq: u64) {
-        let now = ctx.now();
-        let window = self.window_index(seq);
-        let Some(entry) = self.inflight.remove(&seq) else {
-            return; // duplicate response, or a late answer after pruning
-        };
-        let achieved_k = entry
-            .fake_relays
-            .iter()
-            .filter(|r| !on_probation(&self.blacklist, self.blacklist_ttl, **r, now))
-            .count();
-        let round_trip = now.checked_sub(entry.sent_at);
-        let mut sink = self.sink.lock().expect("sink poisoned");
-        // The achieved-k ledger invariant: dilution can degrade under
-        // churn but can never exceed the configured target.
-        if achieved_k > self.k {
-            sink.violation(format!(
-                "query {seq} recorded achieved_k {achieved_k} above target {}",
-                self.k
-            ));
-        }
-        let latency_s = match round_trip {
-            Some(rt) => rt.as_secs_f64(),
-            None => {
-                sink.clamped_samples += 1;
-                sink.violation(format!(
-                    "query {seq}: response at {now} precedes send at {}",
-                    entry.sent_at
-                ));
-                0.0
-            }
-        };
-        sink.answered += 1;
-        let w = &mut sink.windows[window];
-        w.answered += 1;
-        w.latency_sum_s += latency_s;
-        w.latency_max_s = w.latency_max_s.max(latency_s);
-        w.min_achieved_k = w.min_achieved_k.min(achieved_k);
-        if achieved_k < self.k {
-            w.under_target += 1;
-        }
-        drop(sink);
-        if self.trace.is_enabled() {
-            let mut event = TraceEvent::new(now, ctx.self_id().0, "query.answered")
-                .query(seq)
-                .attr("achieved_k", achieved_k)
-                .attr("assessed_k", self.k)
-                .attr("attempts", entry.attempts);
-            if let Some(rt) = round_trip {
-                event = event.span(rt);
-            }
-            self.trace.emit(event);
-        }
-        self.account();
-    }
-}
-
-impl NodeBehavior for SoakClientBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        if envelope.tag != TAG_RESPONSE {
-            return;
-        }
-        let text = String::from_utf8_lossy(&envelope.payload).to_string();
-        let mut parts = text.splitn(4, '|');
-        let _client = parts.next();
-        let seq: u64 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(u64::MAX);
-        let flag = parts.next().unwrap_or("");
-        if flag != "R" || seq >= self.queries {
-            return;
-        }
-        self.answered(ctx, seq);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if token >= TOKEN_LAUNCH {
-            self.launch(ctx);
-        } else if token >= RETRY_BASE {
-            self.retry(ctx, token - RETRY_BASE);
-        } else if token >= OUTBOX_BASE {
-            if let Some((relay, payload)) = self.outbox.remove(&token) {
-                ctx.send(relay, TAG_FORWARD, payload);
-                self.account();
-            }
-        }
-    }
-}
-
 /// Runs the soak on any engine with observability hooks. The returned
 /// outcome is a pure function of the configuration — bit-identical
 /// across engines and shard counts for a given seed, traced or not.
+///
+/// # Panics
+///
+/// Panics with the [`SoakConfig::validate`] message on an invalid
+/// configuration.
 pub fn run_soak_on<E: Engine>(
-    engine_impl: &mut E,
+    engine: &mut E,
     config: &SoakConfig,
     trace: &TraceSink,
 ) -> SoakOutcome {
-    assert!(config.relays > config.k, "need at least k + 1 relays");
-    assert!(config.queries > 0, "an empty soak proves nothing");
-    engine_impl.set_default_latency(LatencyModel::wan());
-    let engine = NodeId(0);
-    let relays: Vec<NodeId> = (1..=config.relays as u64).map(NodeId).collect();
-    let client = NodeId(config.relays as u64 + 1);
-    let horizon = config.horizon();
-
-    let sink: SharedSink = Arc::new(Mutex::new(SoakSink {
-        windows: (0..config.windows())
-            .map(|w| SoakWindow::new(w as u64 * config.window_queries.max(1)))
-            .collect(),
-        ..SoakSink::default()
-    }));
-
-    let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed ^ 0x50AC);
-    engine_impl.add_node(
-        engine,
-        Box::new(SoakEngineBehavior {
-            processing: LatencyModel::search_engine_processing(),
-            rng: rng.fork(1),
-            pending: BTreeMap::new(),
-            next_token: 0,
-            trace: trace.clone(),
-            sink: sink.clone(),
-            local_peak: 0,
-        }),
-    );
-
-    let adversary_plan = config
-        .adversary
-        .map(|a| a.plan(config.relays, config.seed))
-        .unwrap_or_default();
-    let any_hostile = !adversary_plan.byzantine_relays().is_empty();
-    let ledger: Option<SharedCollusionLedger> =
-        any_hostile.then(|| Arc::new(Mutex::new(CollusionLedger::default())));
-    let processing = SimTime::from_nanos(relay_service_time_ns(&config.cost, 512));
-    for &relay in &relays {
-        let policies = adversary_plan.policy_schedule_for(relay);
-        let hostile = policies.is_hostile();
-        engine_impl.add_node(
-            relay,
-            Box::new(SoakRelayBehavior {
-                engine,
-                processing,
-                pending: BTreeMap::new(),
-                next_token: 0,
-                trace: trace.clone(),
-                policies,
-                adv_rng: adversary_stream(config.seed, relay),
-                adversary: if hostile { ledger.clone() } else { None },
-                sink: sink.clone(),
-                local_peak: 0,
-            }),
-        );
+    // Before the churn sampling, which walks the arrival model.
+    if let Err(message) = config.validate() {
+        panic!("{message}");
     }
-
-    engine_impl.add_node(
-        client,
-        Box::new(SoakClientBehavior {
-            relays: relays.clone(),
-            k: config.k,
-            queries: config.queries,
-            window_queries: config.window_queries,
-            arrival: config.arrival(),
-            rng: rng.fork(2),
-            retry_timeout: config.retry_timeout,
-            max_retries: config.max_retries,
-            adaptive: config.adaptive,
-            uplink_per_request: config.client_uplink_per_request,
-            next_seq: 0,
-            inflight: BTreeMap::new(),
-            blacklist: BTreeMap::new(),
-            blacklist_ttl: config.blacklist_ttl,
-            outbox: BTreeMap::new(),
-            next_outbox: 0,
-            peak_resident: 0,
-            peak_inflight: 0,
-            sink: sink.clone(),
-            trace: trace.clone(),
-        }),
-    );
-    // One chained launch timer, not `queries` up-front timers: the first
-    // query launches after `interval(0)` and each launch arms the next.
-    engine_impl.schedule_timer(config.arrival().interval(0), client, TOKEN_LAUNCH);
-
-    // Model-driven churn over the relay population, plus the adversary's
-    // activation annotations (policies were applied at build time).
-    let churn_plan = config
+    let relays: Vec<NodeId> = (1..=config.relays as u64).map(NodeId).collect();
+    let plan = config
         .churn
         .as_ref()
-        .map(|model| model.sample(&relays, horizon, config.seed))
-        .unwrap_or_default();
-    churn_plan.apply_traced(engine_impl, trace);
-    adversary_plan.apply_traced(engine_impl, trace);
-
-    engine_impl.run();
-
-    let (dropped, delayed, observed_real) = ledger
-        .map(|ledger| {
-            let ledger = ledger.lock().expect("ledger poisoned");
-            let (dropped, delayed, _) = ledger.tampered();
-            (dropped, delayed, ledger.observed_real())
-        })
-        .unwrap_or_default();
-    // The engine still owns the behaviours (and their sink handles), so
-    // read the sink through the lock rather than unwrapping the Arc.
-    let sink = sink.lock().expect("sink poisoned");
-    let mut windows = sink.windows.clone();
-    for window in &mut windows {
-        if window.min_achieved_k == usize::MAX {
-            window.min_achieved_k = 0;
-        }
-    }
-    SoakOutcome {
-        windows,
-        answered: sink.answered,
-        unanswered: config.queries - sink.answered,
-        retries: sink.retries,
-        fakes_topped_up: sink.fakes_topped_up,
-        clamped_samples: sink.clamped_samples,
-        peak_inflight: sink.peak_inflight,
-        peak_resident_bytes: sink.peak_resident_bytes,
-        peak_relay_pending: sink.peak_relay_pending,
-        peak_engine_pending: sink.peak_engine_pending,
-        byzantine_relays: adversary_plan.byzantine_relays().len(),
-        byzantine_dropped: dropped,
-        byzantine_delayed: delayed,
-        colluded_real_observed: observed_real,
-        violations: sink.violations.clone(),
-        violation_count: sink.violation_count,
-        stats: engine_impl.stats(),
-    }
+        .map(|model| model.sample(&relays, config.horizon(), config.seed))
+        .unwrap_or_default()
+        .merge(
+            config
+                .adversary
+                .map(|a| a.plan(config.relays, config.seed))
+                .unwrap_or_default(),
+        );
+    deployment::run(engine, config.deployment(), &plan, trace, None).outcome
 }
 
 /// [`run_soak_on`] on the sequential simulator, telemetry disabled.
 pub fn run_soak(config: &SoakConfig) -> SoakOutcome {
-    let mut simulation = Simulation::new(config.seed);
-    run_soak_on(&mut simulation, config, &TraceSink::disabled())
+    run_soak_on(
+        &mut Simulation::new(config.seed),
+        config,
+        &TraceSink::disabled(),
+    )
 }
 
 /// [`run_soak_on`] on the sharded parallel engine. Same seed ⇒ same
 /// outcome as the sequential run, bit for bit, for any shard count.
 pub fn run_soak_sharded(config: &SoakConfig, shards: usize) -> SoakOutcome {
-    let mut engine = ShardedEngine::new(config.seed, shards);
-    run_soak_on(&mut engine, config, &TraceSink::disabled())
+    run_soak_on(
+        &mut ShardedEngine::new(config.seed, shards),
+        config,
+        &TraceSink::disabled(),
+    )
 }
 
 #[cfg(test)]
@@ -1186,5 +521,70 @@ mod tests {
         let outcome = run_soak(&config);
         let err = outcome.gate(&config).expect_err("16 bytes cannot hold");
         assert!(err.contains("resident footprint"), "got: {err}");
+    }
+
+    #[test]
+    fn validate_accepts_the_default_and_rejects_too_few_relays() {
+        assert_eq!(SoakConfig::default().validate(), Ok(()));
+        let config = SoakConfig {
+            relays: 3,
+            ..tiny(100)
+        };
+        assert!(config.validate().unwrap_err().contains("k + 1 relays"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_queries() {
+        assert!(tiny(0).validate().unwrap_err().contains("queries"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_window() {
+        let config = SoakConfig {
+            window_queries: 0,
+            ..tiny(100)
+        };
+        assert!(config.validate().unwrap_err().contains("window_queries"));
+    }
+
+    #[test]
+    fn validate_rejects_a_diurnal_amplitude_outside_the_unit_interval() {
+        for amplitude in [1.0, -0.1, f64::NAN] {
+            let config = SoakConfig {
+                diurnal_amplitude: amplitude,
+                ..tiny(100)
+            };
+            assert!(config.validate().unwrap_err().contains("diurnal_amplitude"));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_diurnal_period() {
+        let config = SoakConfig {
+            diurnal_period_queries: 0,
+            ..tiny(100)
+        };
+        assert!(config
+            .validate()
+            .unwrap_err()
+            .contains("diurnal_period_queries"));
+    }
+
+    #[test]
+    fn validate_rejects_a_flash_boost_below_one() {
+        let config = SoakConfig {
+            flash_boost: 0.5,
+            ..tiny(100)
+        };
+        assert!(config.validate().unwrap_err().contains("flash_boost"));
+    }
+
+    #[test]
+    #[should_panic(expected = "window_queries must be positive")]
+    fn runner_panics_with_the_validation_message() {
+        run_soak(&SoakConfig {
+            window_queries: 0,
+            ..tiny(100)
+        });
     }
 }

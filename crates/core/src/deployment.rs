@@ -154,9 +154,8 @@ impl NodeBehavior for RelayBehavior {
                 ctx.set_timer(self.processing, (self.pending.len() - 1) as u64);
             }
             TAG_ENGINE_RESPONSE => {
-                // payload = "client_id|seq|flag|text": route back to the client.
-                if let Some(client) = parse_client(&envelope.payload) {
-                    ctx.send(client, TAG_RESPONSE, envelope.payload);
+                if let Some(request) = request::decode(&envelope.payload) {
+                    ctx.send(request.client, TAG_RESPONSE, envelope.payload);
                 }
             }
             _ => {}
@@ -219,16 +218,12 @@ impl NodeBehavior for ClientBehavior {
         if envelope.tag != TAG_RESPONSE {
             return;
         }
-        let text = String::from_utf8_lossy(&envelope.payload).to_string();
-        let mut parts = text.splitn(4, '|');
-        let _client = parts.next();
-        let seq: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(usize::MAX);
-        let flag = parts.next().unwrap_or("");
-        if flag == "R" {
-            if let Some(Some(sent)) = self.sent_at.get(seq) {
+        let Some(request) = request::decode(&envelope.payload) else {
+            return;
+        };
+        if request.real {
+            let seq = request.seq;
+            if let Some(Some(sent)) = self.sent_at.get(seq as usize) {
                 let elapsed = ctx.now().saturating_sub(*sent);
                 self.metrics.end_to_end_ns.record_time(elapsed);
                 self.latencies
@@ -240,7 +235,7 @@ impl NodeBehavior for ClientBehavior {
                     // the achieved anonymity set equals the assessed one.
                     self.trace.emit(
                         TraceEvent::new(ctx.now(), ctx.self_id().0, "query.answered")
-                            .query(seq as u64)
+                            .query(seq)
                             .span(elapsed)
                             .attr("achieved_k", self.k)
                             .attr("assessed_k", self.k),
@@ -282,22 +277,66 @@ impl NodeBehavior for ClientBehavior {
         }
         self.sent_at[seq] = Some(ctx.now());
         for (slot, relay_index) in picks.into_iter().enumerate() {
-            let flag = if slot == real_slot { "R" } else { "F" };
-            let payload = format!("{}|{}|{}|{}", ctx.self_id().0, seq, flag, query);
+            let payload = request::encode(ctx.self_id(), seq as u64, slot == real_slot, &query);
             // Requests leave the client one uplink slot apart, in random
             // relay order (slot order is already a random permutation).
-            self.outbox
-                .push((self.relays[relay_index], payload.into_bytes()));
+            self.outbox.push((self.relays[relay_index], payload));
             let delay = SimTime::from_nanos(self.uplink_per_request.as_nanos() * (slot as u64 + 1));
             ctx.set_timer(delay, OUTBOX_BASE + (self.outbox.len() - 1) as u64);
         }
     }
 }
 
-fn parse_client(payload: &[u8]) -> Option<NodeId> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let id: u64 = text.split('|').next()?.parse().ok()?;
-    Some(NodeId(id))
+/// The wire format of one relayed search request:
+/// `"client|seq|flag|text"`, with flag `R` for the real query and `F` for
+/// a fake. Relays route the engine's answer back by the client id; the
+/// client keeps only the answer to its real query (paper §IV step 8).
+pub mod request {
+    use cyclosa_net::NodeId;
+    use std::fmt::{Display, Write};
+
+    /// One decoded request; the text borrows from the payload.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Request<'a> {
+        /// The issuing client, to which the answer is routed back.
+        pub client: NodeId,
+        /// The client's query sequence number.
+        pub seq: u64,
+        /// Whether this is the real query rather than a fake.
+        pub real: bool,
+        /// The query text.
+        pub text: &'a str,
+    }
+
+    /// Encodes one request payload.
+    pub fn encode(client: NodeId, seq: u64, real: bool, text: impl Display) -> Vec<u8> {
+        let flag = if real { 'R' } else { 'F' };
+        // Room for the ids and a typical query in one allocation; `format!`
+        // cannot size a nested `Display` up front.
+        let mut payload = String::with_capacity(64);
+        write!(payload, "{}|{seq}|{flag}|{text}", client.0).expect("writing to a String");
+        payload.into_bytes()
+    }
+
+    /// Decodes a payload built by [`encode`]; `None` for anything else.
+    pub fn decode(payload: &[u8]) -> Option<Request<'_>> {
+        let text = std::str::from_utf8(payload).ok()?;
+        let mut parts = text.splitn(4, '|');
+        let client = NodeId(parts.next()?.parse().ok()?);
+        let seq = parts.next()?.parse().ok()?;
+        let real = match parts.next()? {
+            "R" => true,
+            "F" => false,
+            _ => return None,
+        };
+        let text = parts.next()?;
+        Some(Request {
+            client,
+            seq,
+            real,
+            text,
+        })
+    }
 }
 
 /// Runs the end-to-end latency experiment on `engine_impl` — any
@@ -623,6 +662,30 @@ pub fn converge_peer_views(nodes: &mut [CyclosaNode], rounds: usize, seed: u64) 
 mod tests {
     use super::*;
     use cyclosa_util::stats::Summary;
+
+    #[test]
+    fn request_codec_round_trips_and_rejects_foreign_payloads() {
+        let payload = request::encode(NodeId(31), 7, true, "query number 7 terms");
+        assert_eq!(payload, b"31|7|R|query number 7 terms");
+        let decoded = request::decode(&payload).expect("own payload decodes");
+        assert_eq!(
+            decoded,
+            request::Request {
+                client: NodeId(31),
+                seq: 7,
+                real: true,
+                text: "query number 7 terms",
+            }
+        );
+        let fake = request::encode(NodeId(31), 7, false, "a|b");
+        assert_eq!(
+            request::decode(&fake).map(|r| (r.real, r.text)),
+            Some((false, "a|b"))
+        );
+        for foreign in [&b"31|7|X|text"[..], b"31|7|R", b"x|7|R|t", &[0xFF, b'|']] {
+            assert_eq!(request::decode(foreign), None);
+        }
+    }
 
     #[test]
     fn end_to_end_latency_is_sub_second_at_the_median() {

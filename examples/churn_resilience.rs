@@ -5,11 +5,14 @@
 //!
 //! Run with `cargo run --example churn_resilience`.
 
-use cyclosa_chaos::experiment::{run_churn_experiment, run_churn_experiment_sharded, ChurnConfig};
-use cyclosa_chaos::{ChurnModel, FaultKind};
+use cyclosa_chaos::experiment::{
+    run_churn_experiment, run_churn_experiment_on, ChurnConfig, ChurnTelemetry,
+};
+use cyclosa_chaos::{ChaosPlan, ChurnModel, FaultKind};
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
+use cyclosa_runtime::ShardedEngine;
 use cyclosa_util::stats::Summary;
 
 fn main() {
@@ -30,7 +33,7 @@ fn main() {
             ..ChurnConfig::default()
         };
         let outcome = run_churn_experiment(&config);
-        let summary = Summary::from_samples(&outcome.latencies);
+        let summary = Summary::from_samples(&outcome.latencies());
         println!(
             "{:>8.2}  {:>10.3}  {:>10.3}  {:>6}/{:<2}  {:>7}",
             rate,
@@ -53,7 +56,12 @@ fn main() {
         ..ChurnConfig::default()
     };
     let sequential = run_churn_experiment(&config);
-    let sharded = run_churn_experiment_sharded(&config, 4);
+    let sharded = run_churn_experiment_on(
+        &mut ShardedEngine::new(config.seed, 4),
+        &config,
+        &ChaosPlan::new(),
+        &ChurnTelemetry::default(),
+    );
     assert_eq!(sequential, sharded);
     println!(
         "\nsharded run (4 shards) is bit-identical to the sequential run: \

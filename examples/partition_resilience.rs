@@ -6,11 +6,13 @@
 //!
 //! Run with `cargo run --example partition_resilience`.
 
-use cyclosa_chaos::experiment::ChurnConfig;
+use cyclosa_chaos::experiment::{ChurnConfig, ChurnTelemetry};
 use cyclosa_chaos::partition::{
-    run_partition_experiment, run_partition_experiment_sharded, PartitionConfig,
+    run_partition_experiment, run_partition_experiment_on, PartitionConfig,
 };
+use cyclosa_chaos::ChaosPlan;
 use cyclosa_net::time::SimTime;
+use cyclosa_runtime::ShardedEngine;
 
 fn main() {
     // A 30/70 split: the client is caught on the minority side with 30 %
@@ -77,7 +79,12 @@ fn main() {
     // The same scenario scales out unchanged: a 4-shard run reproduces the
     // sequential outcome bit for bit even though the partition boundary
     // crosses shard boundaries.
-    let sharded = run_partition_experiment_sharded(&config, 4);
+    let sharded = run_partition_experiment_on(
+        &mut ShardedEngine::new(config.base.seed, 4),
+        &config,
+        &ChaosPlan::new(),
+        &ChurnTelemetry::default(),
+    );
     assert_eq!(sharded, outcome);
     println!("\nsharded run (4 shards) is bit-identical to the sequential run");
 }

@@ -10,8 +10,9 @@
 //!
 //! Run with `cargo run --example query_trace`.
 
-use cyclosa_chaos::experiment::{run_churn_experiment_observed, ChurnConfig, ChurnTelemetry};
+use cyclosa_chaos::experiment::{run_churn_experiment_on, ChurnConfig, ChurnTelemetry};
 use cyclosa_chaos::ChaosPlan;
+use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_telemetry::export::to_jsonl;
@@ -51,7 +52,13 @@ fn main() {
     // when. Tracing is a pure read-out, so this run is bit-identical to
     // an untraced one — we are just reading the engine's diary.
     let scout = telemetry();
-    run_churn_experiment_observed(&config(), &ChaosPlan::new(), &scout);
+    let config = config();
+    run_churn_experiment_on(
+        &mut Simulation::new(config.seed),
+        &config,
+        &ChaosPlan::new(),
+        &scout,
+    );
     let launch = scout
         .trace
         .events()
@@ -80,7 +87,12 @@ fn main() {
         crash_at.as_secs_f64()
     );
     let observed = telemetry();
-    let outcome = run_churn_experiment_observed(&config(), &script, &observed);
+    let outcome = run_churn_experiment_on(
+        &mut Simulation::new(config.seed),
+        &config,
+        &script,
+        &observed,
+    );
     assert!(outcome.retries > 0, "the crash must force a repair");
 
     // Walk the victim query's causal timeline: its own events plus the

@@ -6,9 +6,11 @@
 //! `cyclosa-chaos`.
 
 use cyclosa::deployment::{run_end_to_end_latency_on, DeploymentMetrics, EndToEndConfig};
-use cyclosa_chaos::experiment::{run_churn_experiment, run_churn_experiment_sharded, ChurnConfig};
+use cyclosa_chaos::experiment::{
+    run_churn_experiment, run_churn_experiment_on, ChurnConfig, ChurnTelemetry,
+};
 use cyclosa_chaos::partition::{
-    run_partition_experiment, run_partition_experiment_sharded, PartitionConfig,
+    run_partition_experiment, run_partition_experiment_on, PartitionConfig,
 };
 use cyclosa_chaos::{ChaosPlan, ChurnModel};
 use cyclosa_net::engine::Engine;
@@ -194,7 +196,12 @@ fn churn_experiment_outcome_is_bit_identical_for_1_2_4_8_shards() {
         );
         for shards in [1, 2, 4, 8] {
             assert_eq!(
-                run_churn_experiment_sharded(&config, shards),
+                run_churn_experiment_on(
+                    &mut ShardedEngine::new(config.seed, shards),
+                    &config,
+                    &ChaosPlan::new(),
+                    &ChurnTelemetry::default(),
+                ),
                 sequential,
                 "case {case}: churn outcome diverged with {shards} shards"
             );
@@ -330,7 +337,12 @@ fn partition_experiment_outcome_is_bit_identical_for_1_2_4_8_shards() {
         );
         for shards in [1, 2, 4, 8] {
             assert_eq!(
-                run_partition_experiment_sharded(&config, shards),
+                run_partition_experiment_on(
+                    &mut ShardedEngine::new(config.base.seed, shards),
+                    &config,
+                    &ChaosPlan::new(),
+                    &ChurnTelemetry::default(),
+                ),
                 sequential,
                 "case {case}: partition outcome diverged with {shards} shards"
             );

@@ -17,11 +17,12 @@
 
 use cyclosa_bench::report::{build_report, ReportOptions};
 use cyclosa_chaos::experiment::{
-    run_churn_experiment_observed, run_churn_experiment_sharded_observed, ChurnConfig,
-    ChurnTelemetry,
+    run_churn_experiment_on, ChurnConfig, ChurnOutcome, ChurnTelemetry,
 };
 use cyclosa_chaos::slo::{churn_slo_config, evaluate_churn_slos};
 use cyclosa_chaos::{ChaosPlan, FaultKind};
+use cyclosa_net::sim::Simulation;
+use cyclosa_runtime::ShardedEngine;
 use cyclosa_telemetry::analyze::{reconstruct, TraceRecord};
 use cyclosa_telemetry::{SloKind, TraceSink};
 use cyclosa_util::json::Json;
@@ -46,6 +47,28 @@ fn telemetry() -> ChurnTelemetry {
     }
 }
 
+/// The churn run on the sequential simulator.
+fn sequential_run(config: &ChurnConfig, telemetry: &ChurnTelemetry) -> ChurnOutcome {
+    run_churn_experiment_on(
+        &mut Simulation::new(config.seed),
+        config,
+        &ChaosPlan::new(),
+        telemetry,
+    )
+}
+
+/// The churn run on the sharded engine, with the trace sink installed
+/// (merged at every window barrier) and, given a registry, per-shard
+/// profiling enabled.
+fn sharded_run(config: &ChurnConfig, shards: usize, telemetry: &ChurnTelemetry) -> ChurnOutcome {
+    let mut engine = ShardedEngine::new(config.seed, shards);
+    engine.set_trace_sink(telemetry.trace.clone());
+    if let Some(registry) = &telemetry.metrics {
+        engine.enable_profiling(registry);
+    }
+    run_churn_experiment_on(&mut engine, config, &ChaosPlan::new(), telemetry)
+}
+
 fn records_of(telemetry: &ChurnTelemetry) -> Vec<TraceRecord> {
     telemetry
         .trace
@@ -59,7 +82,7 @@ fn records_of(telemetry: &ChurnTelemetry) -> Vec<TraceRecord> {
 fn critical_paths_sum_exactly_and_blame_only_real_victims() {
     let config = stormy();
     let observed = telemetry();
-    run_churn_experiment_observed(&config, &ChaosPlan::new(), &observed);
+    sequential_run(&config, &observed);
     let records = records_of(&observed);
     let timelines = reconstruct(&records);
 
@@ -124,13 +147,13 @@ fn observe_report_and_slo_alerts_are_byte_identical_across_shards() {
     };
 
     let reference = telemetry();
-    run_churn_experiment_observed(&config, &ChaosPlan::new(), &reference);
+    sequential_run(&config, &reference);
     let expected_report = build_report(&records_of(&reference), Json::Null, &options).pretty();
     let expected_slos = evaluate_churn_slos(&config, &reference);
 
     for shards in [1, 2, 4, 8] {
         let observed = telemetry();
-        run_churn_experiment_sharded_observed(&config, &ChaosPlan::new(), shards, &observed);
+        sharded_run(&config, shards, &observed);
         let report = build_report(&records_of(&observed), Json::Null, &options).pretty();
         assert_eq!(
             report, expected_report,
@@ -157,7 +180,7 @@ fn privacy_slo_is_clean_on_baseline_and_fires_under_fixed_k_failures() {
         ..stormy()
     };
     let observed = telemetry();
-    run_churn_experiment_observed(&baseline, &ChaosPlan::new(), &observed);
+    sequential_run(&baseline, &observed);
     let outcome = evaluate_churn_slos(&baseline, &observed);
     assert!(outcome.report.answered > 0);
     assert_eq!(
@@ -175,7 +198,7 @@ fn privacy_slo_is_clean_on_baseline_and_fires_under_fixed_k_failures() {
         ..stormy()
     };
     let first_run = telemetry();
-    run_churn_experiment_observed(&stressed, &ChaosPlan::new(), &first_run);
+    sequential_run(&stressed, &first_run);
     let first = evaluate_churn_slos(&stressed, &first_run);
     assert!(
         first.report.privacy_violations > 0,
@@ -187,7 +210,7 @@ fn privacy_slo_is_clean_on_baseline_and_fires_under_fixed_k_failures() {
     );
 
     let second_run = telemetry();
-    run_churn_experiment_observed(&stressed, &ChaosPlan::new(), &second_run);
+    sequential_run(&stressed, &second_run);
     let second = evaluate_churn_slos(&stressed, &second_run);
     assert_eq!(
         first.report, second.report,

@@ -18,12 +18,12 @@
 
 use cyclosa::deployment::{run_end_to_end_latency_observed_on, DeploymentMetrics, EndToEndConfig};
 use cyclosa_chaos::experiment::{
-    run_churn_experiment, run_churn_experiment_observed, run_churn_experiment_sharded,
-    run_churn_experiment_sharded_observed, ChurnConfig, ChurnTelemetry,
+    run_churn_experiment, run_churn_experiment_on, ChurnConfig, ChurnOutcome, ChurnTelemetry,
 };
 use cyclosa_chaos::ChaosPlan;
 use cyclosa_net::sim::Simulation;
 use cyclosa_runtime::metrics::Registry;
+use cyclosa_runtime::ShardedEngine;
 use cyclosa_telemetry::check::{validate_chrome_trace, validate_trace_jsonl};
 use cyclosa_telemetry::export::{to_chrome_trace, to_jsonl};
 use cyclosa_telemetry::{AttrValue, TraceSink};
@@ -47,6 +47,28 @@ fn telemetry() -> ChurnTelemetry {
     }
 }
 
+/// The churn run on the sequential simulator.
+fn sequential_run(config: &ChurnConfig, telemetry: &ChurnTelemetry) -> ChurnOutcome {
+    run_churn_experiment_on(
+        &mut Simulation::new(config.seed),
+        config,
+        &ChaosPlan::new(),
+        telemetry,
+    )
+}
+
+/// The churn run on the sharded engine, with the trace sink installed
+/// (merged at every window barrier) and, given a registry, per-shard
+/// profiling enabled.
+fn sharded_run(config: &ChurnConfig, shards: usize, telemetry: &ChurnTelemetry) -> ChurnOutcome {
+    let mut engine = ShardedEngine::new(config.seed, shards);
+    engine.set_trace_sink(telemetry.trace.clone());
+    if let Some(registry) = &telemetry.metrics {
+        engine.enable_profiling(registry);
+    }
+    run_churn_experiment_on(&mut engine, config, &ChaosPlan::new(), telemetry)
+}
+
 #[test]
 fn traced_churn_outcome_is_bit_identical_across_engines_and_shards() {
     let config = stormy();
@@ -55,19 +77,19 @@ fn traced_churn_outcome_is_bit_identical_across_engines_and_shards() {
 
     let sequential = telemetry();
     assert_eq!(
-        run_churn_experiment_observed(&config, &ChaosPlan::new(), &sequential),
+        sequential_run(&config, &sequential),
         untraced,
         "sequential tracing perturbed the run"
     );
     for shards in [1, 2, 4, 8] {
         assert_eq!(
-            run_churn_experiment_sharded(&config, shards),
+            sharded_run(&config, shards, &ChurnTelemetry::default()),
             untraced,
             "untraced sharded run diverged at {shards} shards"
         );
         let observed = telemetry();
         assert_eq!(
-            run_churn_experiment_sharded_observed(&config, &ChaosPlan::new(), shards, &observed),
+            sharded_run(&config, shards, &observed),
             untraced,
             "traced sharded run diverged at {shards} shards"
         );
@@ -78,13 +100,13 @@ fn traced_churn_outcome_is_bit_identical_across_engines_and_shards() {
 fn merged_jsonl_trace_is_byte_identical_across_shard_counts() {
     let config = stormy();
     let reference = telemetry();
-    run_churn_experiment_observed(&config, &ChaosPlan::new(), &reference);
+    sequential_run(&config, &reference);
     let expected = to_jsonl(&reference.trace.events());
     assert!(!expected.is_empty(), "the storm must produce a timeline");
 
     for shards in [1, 2, 4, 8] {
         let observed = telemetry();
-        run_churn_experiment_sharded_observed(&config, &ChaosPlan::new(), shards, &observed);
+        sharded_run(&config, shards, &observed);
         let jsonl = to_jsonl(&observed.trace.events());
         assert_eq!(
             jsonl, expected,
@@ -97,7 +119,7 @@ fn merged_jsonl_trace_is_byte_identical_across_shard_counts() {
 fn storm_timeline_contains_a_fault_annotated_repair_and_validates() {
     let config = stormy();
     let observed = telemetry();
-    run_churn_experiment_sharded_observed(&config, &ChaosPlan::new(), 4, &observed);
+    sharded_run(&config, 4, &observed);
     let events = observed.trace.events();
 
     let repair = events
