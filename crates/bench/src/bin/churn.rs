@@ -14,9 +14,12 @@
 //! With `--adversary` the bin additionally sweeps **active adversaries**:
 //! for each Sybil identity budget it replays the identical attack against
 //! the naive shuffle sampler and the Brahms byzantine-resilient sampler
-//! (`cyclosa-peer-sampling`), then converts each sampler's measured
-//! view-poisoning share into SimAttack accuracy through a colluding-relay
-//! coalition of that size (`ColludingMechanism`) — the
+//! (`cyclosa-peer-sampling`). Honest nodes and sybils both run as engine
+//! nodes for 50 rounds of 1 s, and each sampler's views are asserted
+//! bit-identical on the sharded engine (`--shards`) before use. The bin
+//! then converts each sampler's measured view-poisoning share into
+//! SimAttack accuracy through a colluding-relay coalition of that size
+//! (`ColludingMechanism`) — the
 //! attack-accuracy-versus-fraction-malicious curves, written to the
 //! `adversary` key of `BENCH_churn.json`. Under `--gate`, at every Sybil
 //! fraction of at least 20 % the Brahms view's attacker share must stay
@@ -94,12 +97,13 @@ use cyclosa_chaos::ChaosPlan;
 use cyclosa_chaos::{
     AdaptiveChurnedMechanism, ChurnedMechanism, ColludingMechanism, PartitionedMechanism,
 };
+use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_peer_sampling::{
-    overlay_metrics_from_views, BrahmsConfig, BrahmsSimulator, EngineGossipConfig,
-    EngineGossipOverlay, MembershipConfig, PeerId, PeerSamplingConfig, SwimGossipOverlay,
-    SybilAttackConfig, SybilSimulator,
+    overlay_metrics_from_views, sybil_view_fraction, BrahmsConfig, EngineBrahmsOverlay,
+    EngineGossipConfig, EngineGossipOverlay, MembershipConfig, PeerId, SwimGossipOverlay,
+    SybilAttackConfig,
 };
 use cyclosa_runtime::metrics::Registry;
 use cyclosa_runtime::ShardedEngine;
@@ -1241,6 +1245,11 @@ fn main() {
     let adversary_points: Vec<AdversaryPoint> = if options.adversary {
         const SYBIL_HONEST: usize = 100;
         const SYBIL_ROUNDS: usize = 50;
+        let sampler_config = EngineGossipConfig {
+            rounds: SYBIL_ROUNDS,
+            round_period: SimTime::from_secs(1),
+            ..EngineGossipConfig::default()
+        };
         println!(
             "{:>8}  {:>11}  {:>12}  {:>7}  {:>10}  {:>11}",
             "sybil f", "naive view", "brahms view", "voided", "naive(%)", "brahms(%)"
@@ -1255,12 +1264,38 @@ fn main() {
                     pushes_per_sybil: 2,
                     seed: options.seed,
                 };
-                let mut naive = SybilSimulator::ring(attack, PeerSamplingConfig::default());
-                naive.run_rounds(SYBIL_ROUNDS);
-                let naive_view = naive.attacker_fraction();
-                let mut brahms = BrahmsSimulator::ring(attack, BrahmsConfig::default());
-                brahms.run_rounds(SYBIL_ROUNDS);
-                let brahms_view = brahms.attacker_fraction();
+                let naive = |engine: &mut dyn Engine| {
+                    let overlay =
+                        EngineGossipOverlay::ring_under_attack(engine, attack, sampler_config);
+                    engine.run();
+                    overlay.views()
+                };
+                let brahms = |engine: &mut dyn Engine| {
+                    let overlay = EngineBrahmsOverlay::ring(
+                        engine,
+                        attack,
+                        BrahmsConfig::default(),
+                        SYBIL_ROUNDS,
+                        sampler_config.round_period,
+                    );
+                    engine.run();
+                    (overlay.views(), overlay.voided_rounds())
+                };
+                let naive_views = naive(&mut Simulation::new(options.seed));
+                assert_eq!(
+                    naive(&mut ShardedEngine::new(options.seed, options.shards)),
+                    naive_views,
+                    "sharded naive-sampler Sybil run diverged from the sequential simulation"
+                );
+                let brahms_run = brahms(&mut Simulation::new(options.seed));
+                assert_eq!(
+                    brahms(&mut ShardedEngine::new(options.seed, options.shards)),
+                    brahms_run,
+                    "sharded Brahms Sybil run diverged from the sequential simulation"
+                );
+                let (brahms_views, brahms_voided) = brahms_run;
+                let naive_view = sybil_view_fraction(&naive_views);
+                let brahms_view = sybil_view_fraction(&brahms_views);
 
                 let mut naive_mech = ColludingMechanism::new(
                     setup.cyclosa(PRIVACY_K),
@@ -1291,7 +1326,7 @@ fn main() {
                     fraction,
                     naive_view,
                     brahms_view,
-                    brahms.voided_rounds(),
+                    brahms_voided,
                     naive_report.rate_percent(),
                     brahms_report.rate_percent()
                 );
@@ -1299,7 +1334,7 @@ fn main() {
                     sybil_fraction: fraction,
                     naive_view_fraction: naive_view,
                     brahms_view_fraction: brahms_view,
-                    brahms_voided_rounds: brahms.voided_rounds(),
+                    brahms_voided_rounds: brahms_voided,
                     naive_attack_rate_percent: naive_report.rate_percent(),
                     brahms_attack_rate_percent: brahms_report.rate_percent(),
                     naive_pooled_real: naive_mech.pooled_real(),

@@ -19,20 +19,20 @@
 //! 3. **Validation** — a sampler whose output stops responding is
 //!    reset ([`MinWiseSampler::invalidate`]) with a fresh salt.
 //!
-//! [`BrahmsSimulator`] replays the *same* [`SybilAttackConfig`] scenario
-//! as the naive-sampler experiment for directly comparable poisoning
-//! curves, and [`EngineBrahmsOverlay`] runs the protocol over simulated
-//! network messages on any [`Engine`] — bit-identical across 1/2/4/8
-//! shards like every other overlay in this crate.
+//! [`EngineBrahmsOverlay`] runs the protocol over simulated network
+//! messages on any [`Engine`] — bit-identical across 1/2/4/8 shards like
+//! every other overlay in this crate — against the *same*
+//! [`SybilAttackConfig`] scenario as the naive-sampler experiment, for
+//! directly comparable poisoning curves.
 
-use crate::sybil::{is_sybil, sybil_view_fraction, SybilAttackConfig};
+use crate::node_rng;
+use crate::sybil::{Poison, SybilAttackConfig};
 use crate::view::PeerId;
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_util::rng::{Rng, SplitMix64, Xoshiro256StarStar};
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// One min-wise independent sampler: remembers the peer minimizing a
@@ -236,8 +236,11 @@ impl BrahmsNode {
         for &peer in pushes.iter().chain(pulls) {
             self.observe(peer);
         }
-        if pushes.is_empty() || pulls.is_empty() || pushes.len() > self.config.push_quota {
-            self.voided_rounds += pushes.len() as u64 / (self.config.push_quota as u64 + 1);
+        if pushes.len() > self.config.push_quota {
+            self.voided_rounds += 1;
+            return false;
+        }
+        if pushes.is_empty() || pulls.is_empty() {
             return false;
         }
         let mut next: Vec<PeerId> = Vec::with_capacity(self.config.view_size());
@@ -259,140 +262,13 @@ impl BrahmsNode {
     }
 }
 
-/// A synchronous Brahms population under the same Sybil attack as
-/// [`crate::sybil::SybilSimulator`]: sybils flood pushes and answer every
-/// pull with an all-sybil view. The defense metrics come out of
-/// [`BrahmsSimulator::attacker_fraction`].
-#[derive(Debug)]
-pub struct BrahmsSimulator {
-    nodes: BTreeMap<PeerId, BrahmsNode>,
-    sybils: Vec<PeerId>,
-    attack: SybilAttackConfig,
-    config: BrahmsConfig,
-    rng: Xoshiro256StarStar,
-}
-
-impl BrahmsSimulator {
-    /// Creates the honest population bootstrapped in a ring (each node
-    /// knows its successors plus one seeded sybil, mirroring the naive
-    /// experiment's toehold).
-    pub fn ring(attack: SybilAttackConfig, config: BrahmsConfig) -> Self {
-        assert!(
-            attack.honest >= 2,
-            "a gossip overlay needs at least two nodes"
-        );
-        let sybils = attack.sybils();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(attack.seed ^ 0xB4A5);
-        let mut nodes = BTreeMap::new();
-        for i in 0..attack.honest {
-            let id = PeerId(i as u64);
-            let mut node_rng = rng.fork(1);
-            let mut node = BrahmsNode::new(id, config, &mut node_rng);
-            let fanout = config.view_size().min(attack.honest - 1).max(1);
-            node.bootstrap((1..=fanout).map(|j| PeerId(((i + j) % attack.honest) as u64)));
-            if !sybils.is_empty() {
-                node.bootstrap([sybils[rng.gen_index(sybils.len())]]);
-            }
-            nodes.insert(id, node);
-        }
-        Self {
-            nodes,
-            sybils,
-            attack,
-            config,
-            rng,
-        }
-    }
-
-    fn poisoned_view(&mut self) -> Vec<PeerId> {
-        let count = self.config.view_size().min(self.sybils.len());
-        let picks = self.rng.sample_indices(self.sybils.len(), count);
-        picks.into_iter().map(|i| self.sybils[i]).collect()
-    }
-
-    /// Runs one synchronous round: honest pushes/pulls plus the
-    /// attacker's push flood, then every node's quota-checked update.
-    pub fn run_round(&mut self) {
-        let honest: Vec<PeerId> = self.nodes.keys().copied().collect();
-        let mut push_inbox: BTreeMap<PeerId, Vec<PeerId>> = BTreeMap::new();
-        let mut pull_inbox: BTreeMap<PeerId, Vec<PeerId>> = BTreeMap::new();
-        // Honest traffic.
-        for &id in &honest {
-            let node = &self.nodes[&id];
-            for target in node.targets(self.config.alpha, &mut self.rng) {
-                if !is_sybil(target) {
-                    push_inbox.entry(target).or_default().push(id);
-                }
-                // Pushes to sybils only tell the attacker the pusher
-                // exists; nothing to model.
-            }
-            for target in node.targets(self.config.beta, &mut self.rng) {
-                let reply = if is_sybil(target) {
-                    self.poisoned_view()
-                } else {
-                    self.nodes[&target].view().to_vec()
-                };
-                pull_inbox.entry(id).or_default().extend(reply);
-            }
-        }
-        // Attacker flood: every sybil pushes its id to random honest
-        // nodes. Against the naive sampler this is what captures views;
-        // here it mostly voids rounds.
-        for s in 0..self.sybils.len() {
-            for _ in 0..self.attack.pushes_per_sybil {
-                let target = PeerId(self.rng.gen_index(self.attack.honest) as u64);
-                push_inbox.entry(target).or_default().push(self.sybils[s]);
-            }
-        }
-        // Quota-checked updates.
-        for &id in &honest {
-            let pushes = push_inbox.remove(&id).unwrap_or_default();
-            let pulls = pull_inbox.remove(&id).unwrap_or_default();
-            if let Some(node) = self.nodes.get_mut(&id) {
-                node.round_update(&pushes, &pulls, &mut self.rng);
-            }
-        }
-    }
-
-    /// Runs `rounds` synchronous rounds.
-    pub fn run_rounds(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            self.run_round();
-        }
-    }
-
-    /// The `(node, view)` pairs of the honest population.
-    pub fn views(&self) -> Vec<(PeerId, Vec<PeerId>)> {
-        self.nodes
-            .iter()
-            .map(|(id, node)| (*id, node.view().to_vec()))
-            .collect()
-    }
-
-    /// The mean fraction of sybil entries across honest views.
-    pub fn attacker_fraction(&self) -> f64 {
-        sybil_view_fraction(&self.views())
-    }
-
-    /// Total voided rounds across the population (the quota firing).
-    pub fn voided_rounds(&self) -> u64 {
-        self.nodes.values().map(|n| n.voided_rounds()).sum()
-    }
-}
-
-// ---------------------------------------------------------------------
-// The engine-driven overlay.
-// ---------------------------------------------------------------------
-
 const TAG_PUSH: u32 = 0xB8A1;
 const TAG_PULL_REQ: u32 = 0xB8A2;
 const TAG_PULL_REP: u32 = 0xB8A3;
 const TOKEN_ROUND: u64 = 1;
 
-fn node_rng(seed: u64, id: u64) -> Xoshiro256StarStar {
-    let mut sm = SplitMix64::new(seed ^ 0xB4A1_1753);
-    Xoshiro256StarStar::seed_from_u64(sm.next_u64() ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
+/// Salt of the Brahms participants' [`node_rng`] streams.
+const BRAHMS_STREAM: u64 = 0xB4A1_1753;
 
 fn encode_ids(ids: &[PeerId]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(ids.len() * 8);
@@ -410,25 +286,13 @@ fn decode_ids(bytes: &[u8]) -> Vec<PeerId> {
 }
 
 struct HonestBrahmsBehavior {
-    node: BrahmsNode,
+    node: Arc<Mutex<BrahmsNode>>,
     config: BrahmsConfig,
     rng: Xoshiro256StarStar,
     rounds_left: usize,
     round_period: SimTime,
     pushes: Vec<PeerId>,
     pulls: Vec<PeerId>,
-    shared: Arc<Mutex<Vec<PeerId>>>,
-}
-
-impl HonestBrahmsBehavior {
-    fn gossip(&mut self, ctx: &mut Context<'_>) {
-        for target in self.node.targets(self.config.alpha, &mut self.rng) {
-            ctx.send(NodeId(target.0), TAG_PUSH, Vec::new());
-        }
-        for target in self.node.targets(self.config.beta, &mut self.rng) {
-            ctx.send(NodeId(target.0), TAG_PULL_REQ, Vec::new());
-        }
-    }
 }
 
 impl NodeBehavior for HonestBrahmsBehavior {
@@ -436,7 +300,7 @@ impl NodeBehavior for HonestBrahmsBehavior {
         match envelope.tag {
             TAG_PUSH => self.pushes.push(PeerId(envelope.src.0)),
             TAG_PULL_REQ => {
-                let view = encode_ids(self.node.view());
+                let view = encode_ids(self.node.lock().expect("brahms node poisoned").view());
                 ctx.send(envelope.src, TAG_PULL_REP, view);
             }
             TAG_PULL_REP => self.pulls.extend(decode_ids(&envelope.payload)),
@@ -450,50 +314,13 @@ impl NodeBehavior for HonestBrahmsBehavior {
         }
         let pushes = std::mem::take(&mut self.pushes);
         let pulls = std::mem::take(&mut self.pulls);
-        self.node.round_update(&pushes, &pulls, &mut self.rng);
-        *self.shared.lock().expect("view poisoned") = self.node.view().to_vec();
-        self.gossip(ctx);
-        if self.rounds_left > 0 {
-            self.rounds_left -= 1;
-            ctx.set_timer(self.round_period, TOKEN_ROUND);
+        let mut node = self.node.lock().expect("brahms node poisoned");
+        node.round_update(&pushes, &pulls, &mut self.rng);
+        for target in node.targets(self.config.alpha, &mut self.rng) {
+            ctx.send(NodeId(target.0), TAG_PUSH, Vec::new());
         }
-    }
-}
-
-struct SybilBrahmsBehavior {
-    sybils: Vec<PeerId>,
-    honest: usize,
-    view_size: usize,
-    pushes_per_round: usize,
-    rng: Xoshiro256StarStar,
-    rounds_left: usize,
-    round_period: SimTime,
-}
-
-impl SybilBrahmsBehavior {
-    fn poisoned_view(&mut self) -> Vec<PeerId> {
-        let count = self.view_size.min(self.sybils.len());
-        let picks = self.rng.sample_indices(self.sybils.len(), count);
-        picks.into_iter().map(|i| self.sybils[i]).collect()
-    }
-}
-
-impl NodeBehavior for SybilBrahmsBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        if envelope.tag == TAG_PULL_REQ {
-            let poisoned = self.poisoned_view();
-            ctx.send(envelope.src, TAG_PULL_REP, encode_ids(&poisoned));
-        }
-        // Pushes to a sybil are silently absorbed.
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if token != TOKEN_ROUND {
-            return;
-        }
-        for _ in 0..self.pushes_per_round {
-            let target = NodeId(self.rng.gen_index(self.honest) as u64);
-            ctx.send(target, TAG_PUSH, Vec::new());
+        for target in node.targets(self.config.beta, &mut self.rng) {
+            ctx.send(NodeId(target.0), TAG_PULL_REQ, Vec::new());
         }
         if self.rounds_left > 0 {
             self.rounds_left -= 1;
@@ -503,19 +330,25 @@ impl NodeBehavior for SybilBrahmsBehavior {
 }
 
 /// The Brahms protocol deployed on a deterministic [`Engine`] — honest
-/// nodes *and* the Sybil attacker as real message-passing participants.
-/// Each node draws from its own seed-derived stream, so a run is
-/// bit-identical on the sequential simulator and the sharded engine for
-/// any shard count.
+/// nodes *and* the Sybil attacker of [`crate::sybil`] as real
+/// message-passing participants. Each node draws from its own
+/// seed-derived stream, so a run is bit-identical on the sequential
+/// simulator and the sharded engine for any shard count.
 pub struct EngineBrahmsOverlay {
-    handles: Vec<(PeerId, Arc<Mutex<Vec<PeerId>>>)>,
+    handles: Vec<(PeerId, Arc<Mutex<BrahmsNode>>)>,
 }
 
 impl EngineBrahmsOverlay {
-    /// Registers the honest ring plus the attacker's sybil identities on
-    /// `engine`, each running `rounds` protocol rounds of `round_period`.
-    /// Call `engine.run()` afterwards. A zero-budget attack
-    /// (`fraction = 0`) deploys a plain Brahms overlay.
+    /// Registers the honest population — each node knowing its `l₁` ring
+    /// successors plus one Sybil toehold — and the attacker's sybil
+    /// identities on `engine`, each running `rounds` protocol rounds of
+    /// `round_period`. Sybils answer every pull with an all-sybil view and
+    /// push-flood random honest nodes. Call `engine.run()` afterwards. A
+    /// zero-budget attack (`fraction = 0`) deploys a plain Brahms overlay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `attack.honest < 2`.
     pub fn ring<E: Engine + ?Sized>(
         engine: &mut E,
         attack: SybilAttackConfig,
@@ -527,22 +360,17 @@ impl EngineBrahmsOverlay {
             attack.honest >= 2,
             "a gossip overlay needs at least two nodes"
         );
-        let sybils = attack.sybils();
-        let mut seeder = Xoshiro256StarStar::seed_from_u64(attack.seed ^ 0xB4A5);
+        let toeholds = attack.toeholds();
         let mut handles = Vec::with_capacity(attack.honest);
         for i in 0..attack.honest {
             let id = PeerId(i as u64);
-            let mut rng = node_rng(attack.seed, id.0);
+            let mut rng = node_rng(attack.seed ^ BRAHMS_STREAM, id.0);
             let mut node = BrahmsNode::new(id, config, &mut rng);
             let fanout = config.view_size().min(attack.honest - 1).max(1);
             node.bootstrap((1..=fanout).map(|j| PeerId(((i + j) % attack.honest) as u64)));
-            if !sybils.is_empty() {
-                // The toehold draw comes from the deployment stream, like
-                // the synchronous simulators.
-                node.bootstrap([sybils[seeder.gen_index(sybils.len())]]);
-            }
-            let shared = Arc::new(Mutex::new(node.view().to_vec()));
-            handles.push((id, shared.clone()));
+            node.bootstrap(toeholds.get(i).copied());
+            let node = Arc::new(Mutex::new(node));
+            handles.push((id, node.clone()));
             engine.add_node(
                 NodeId(id.0),
                 Box::new(HonestBrahmsBehavior {
@@ -553,26 +381,24 @@ impl EngineBrahmsOverlay {
                     round_period,
                     pushes: Vec::new(),
                     pulls: Vec::new(),
-                    shared,
                 }),
             );
             engine.schedule_timer(round_period, NodeId(id.0), TOKEN_ROUND);
         }
-        for sybil in &sybils {
-            engine.add_node(
-                NodeId(sybil.0),
-                Box::new(SybilBrahmsBehavior {
-                    sybils: sybils.clone(),
-                    honest: attack.honest,
-                    view_size: config.view_size(),
-                    pushes_per_round: attack.pushes_per_sybil,
-                    rng: node_rng(attack.seed, sybil.0),
-                    rounds_left: rounds,
-                    round_period,
-                }),
-            );
-            engine.schedule_timer(round_period, NodeId(sybil.0), TOKEN_ROUND);
-        }
+        attack.deploy_sybils(
+            engine,
+            rounds,
+            round_period,
+            attack.seed ^ BRAHMS_STREAM,
+            Poison {
+                request: TAG_PULL_REQ,
+                answer: TAG_PULL_REP,
+                push: TAG_PUSH,
+                ids: config.view_size(),
+                push_carries_poison: false,
+                encode: encode_ids,
+            },
+        );
         Self { handles }
     }
 
@@ -580,23 +406,67 @@ impl EngineBrahmsOverlay {
     pub fn views(&self) -> Vec<(PeerId, Vec<PeerId>)> {
         self.handles
             .iter()
-            .map(|(id, shared)| (*id, shared.lock().expect("view poisoned").clone()))
+            .map(|(id, node)| {
+                (
+                    *id,
+                    node.lock().expect("brahms node poisoned").view().to_vec(),
+                )
+            })
             .collect()
     }
 
-    /// The mean fraction of sybil entries across honest views.
-    pub fn attacker_fraction(&self) -> f64 {
-        sybil_view_fraction(&self.views())
+    /// Rounds voided by the push quota, summed over the honest population
+    /// (how often the quota fired).
+    pub fn voided_rounds(&self) -> u64 {
+        self.handles
+            .iter()
+            .map(|(_, node)| node.lock().expect("brahms node poisoned").voided_rounds())
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::PeerSamplingConfig;
-    use crate::sybil::SybilSimulator;
+    use crate::overlay::{overlay_metrics_from_views, EngineGossipConfig, EngineGossipOverlay};
+    use crate::sybil::{is_sybil, sybil_view_fraction};
     use cyclosa_net::sim::Simulation;
     use cyclosa_runtime::ShardedEngine;
+
+    type Views = Vec<(PeerId, Vec<PeerId>)>;
+
+    /// The naive shuffle under `attack` for `rounds` rounds of 1 s.
+    fn naive_under_attack(
+        engine: &mut dyn Engine,
+        attack: SybilAttackConfig,
+        rounds: usize,
+    ) -> Views {
+        let config = EngineGossipConfig {
+            rounds,
+            ..EngineGossipConfig::default()
+        };
+        let overlay = EngineGossipOverlay::ring_under_attack(engine, attack, config);
+        engine.run();
+        overlay.views()
+    }
+
+    /// Brahms under `attack` for `rounds` rounds of 1 s: honest views and
+    /// the quota-voided round count.
+    fn brahms_under_attack(
+        engine: &mut dyn Engine,
+        attack: SybilAttackConfig,
+        rounds: usize,
+    ) -> (Views, u64) {
+        let overlay = EngineBrahmsOverlay::ring(
+            engine,
+            attack,
+            BrahmsConfig::default(),
+            rounds,
+            SimTime::from_secs(1),
+        );
+        engine.run();
+        (overlay.views(), overlay.voided_rounds())
+    }
 
     #[test]
     fn min_wise_sampler_is_order_independent_and_flood_proof() {
@@ -654,21 +524,20 @@ mod tests {
         let updated = node.round_update(&flood, &pulls, &mut rng);
         assert!(!updated, "a flooded round must be voided");
         assert_eq!(node.view(), before.as_slice(), "old view kept");
-        assert!(node.voided_rounds() > 0);
+        assert_eq!(node.voided_rounds(), 1, "one flooded round voids once");
         // A healthy round then succeeds.
         let pushes: Vec<PeerId> = (10..=13).map(PeerId).collect();
         assert!(node.round_update(&pushes, &pulls, &mut rng));
+        assert_eq!(node.voided_rounds(), 1);
     }
     const SYBIL_BASE_TEST: u64 = 1 << 32;
 
     #[test]
     fn brahms_bounds_the_same_attack_that_captures_the_naive_sampler() {
         let attack = SybilAttackConfig::default(); // f = 0.2, flood 2/sybil
-        let mut naive = SybilSimulator::ring(attack, PeerSamplingConfig::default());
-        naive.run_rounds(50);
-        let mut brahms = BrahmsSimulator::ring(attack, BrahmsConfig::default());
-        brahms.run_rounds(50);
-        let (naive_frac, brahms_frac) = (naive.attacker_fraction(), brahms.attacker_fraction());
+        let naive = naive_under_attack(&mut Simulation::new(attack.seed), attack, 50);
+        let (brahms, voided) = brahms_under_attack(&mut Simulation::new(attack.seed), attack, 50);
+        let (naive_frac, brahms_frac) = (sybil_view_fraction(&naive), sybil_view_fraction(&brahms));
         assert!(
             naive_frac > 0.5,
             "the attack must capture the naive sampler ({naive_frac})"
@@ -677,22 +546,15 @@ mod tests {
             brahms_frac < 0.35,
             "brahms must bound poisoning near the identity share ({brahms_frac})"
         );
-        assert!(brahms.voided_rounds() > 0, "the quota must have fired");
-        let metrics = crate::simulator::overlay_metrics_from_views(
-            &brahms
-                .views()
-                .into_iter()
-                .map(|(id, view)| {
-                    (
-                        id,
-                        view.into_iter()
-                            .filter(|p| !is_sybil(*p))
-                            .collect::<Vec<_>>(),
-                    )
-                })
-                .collect::<Vec<_>>(),
+        assert!(voided > 0, "the quota must have fired");
+        let honest_core: Views = brahms
+            .into_iter()
+            .map(|(id, view)| (id, view.into_iter().filter(|p| !is_sybil(*p)).collect()))
+            .collect();
+        assert!(
+            overlay_metrics_from_views(&honest_core).connected,
+            "the honest core must stay connected"
         );
-        assert!(metrics.connected, "the honest core must stay connected");
     }
 
     #[test]
@@ -703,28 +565,31 @@ mod tests {
             pushes_per_sybil: 2,
             seed: 42,
         };
-        let config = BrahmsConfig::default();
-        let deploy = |engine: &mut dyn Engine| {
-            let overlay =
-                EngineBrahmsOverlay::ring(engine, attack, config, 30, SimTime::from_secs(1));
-            engine.run();
-            overlay.views()
-        };
-        let mut sequential = Simulation::new(attack.seed);
-        let baseline = deploy(&mut sequential);
-        assert!(
-            sybil_view_fraction(&baseline) < 0.35,
-            "engine overlay must bound poisoning too, got {}",
+        // Each sampler's views on 1/2/4/8 shards equal the sequential run.
+        let shard_invariant = |name: &str, deploy: &dyn Fn(&mut dyn Engine) -> Views| {
+            let baseline = deploy(&mut Simulation::new(attack.seed));
+            for shards in [1, 2, 4, 8] {
+                let mut engine = ShardedEngine::new(attack.seed, shards);
+                assert_eq!(
+                    deploy(&mut engine),
+                    baseline,
+                    "{name} views diverged with {shards} shards"
+                );
+            }
             sybil_view_fraction(&baseline)
+        };
+        let naive_frac = shard_invariant("naive", &|engine| naive_under_attack(engine, attack, 30));
+        let brahms_frac = shard_invariant("brahms", &|engine| {
+            brahms_under_attack(engine, attack, 30).0
+        });
+        assert!(
+            brahms_frac < 0.35,
+            "engine overlay must bound poisoning too, got {brahms_frac}"
         );
-        for shards in [1, 2, 4, 8] {
-            let mut engine = ShardedEngine::new(attack.seed, shards);
-            assert_eq!(
-                deploy(&mut engine),
-                baseline,
-                "views diverged with {shards} shards"
-            );
-        }
+        assert!(
+            naive_frac > brahms_frac,
+            "the same attack must poison the naive sampler more ({naive_frac} vs {brahms_frac})"
+        );
     }
 
     #[test]
@@ -744,8 +609,8 @@ mod tests {
             SimTime::from_secs(1),
         );
         engine.run();
-        assert_eq!(overlay.attacker_fraction(), 0.0);
-        let metrics = crate::simulator::overlay_metrics_from_views(&overlay.views());
+        assert_eq!(sybil_view_fraction(&overlay.views()), 0.0);
+        let metrics = overlay_metrics_from_views(&overlay.views());
         assert!(metrics.connected);
         assert!(metrics.mean_in_degree > 8.0, "views must fill out");
     }

@@ -5,22 +5,19 @@
 //! connectivity between nodes by building and maintaining a continuously
 //! changing random topology."
 //!
-//! This crate implements that protocol family:
+//! This crate implements that protocol family. Every protocol runs over
+//! simulated network messages on any `cyclosa_net::engine::Engine`,
+//! including the sharded parallel engine of `cyclosa-runtime`, and a run
+//! is bit-identical for any shard count:
 //!
 //! * [`View`] — a bounded partial view of node descriptors with ages;
 //! * [`PeerSamplingNode`] — one protocol participant with the standard
 //!   policies (peer selection, view propagation, healer/swapper merging);
-//! * [`GossipSimulator`] — a synchronous round driver over many nodes with
-//!   failure injection and overlay-quality metrics (connectivity, in-degree
-//!   balance), used by the deployment simulation and by benchmarks.
-//! * [`EngineGossipOverlay`] — the same protocol running over simulated
-//!   network messages on any `cyclosa_net::engine::Engine`, including the
-//!   sharded parallel engine of `cyclosa-runtime` for population-scale
-//!   experiments. The overlay carries the full fault story: scheduled
-//!   kills, revivals and rejoins, live staleness/dead-reference
-//!   histograms, eager re-assessment of stale views, and network
-//!   partitions with directory-assisted merge healing
-//!   ([`EngineGossipOverlay::schedule_partition`]).
+//! * [`EngineGossipOverlay`] — the shuffle protocol deployed on an engine,
+//!   with a live view-staleness histogram, network partitions with
+//!   directory-assisted merge healing
+//!   ([`EngineGossipOverlay::schedule_partition`]) and overlay-quality
+//!   metrics ([`OverlayMetrics`]: connectivity, in-degree balance);
 //! * [`SwimGossipOverlay`] — protocol-native membership on the same
 //!   engines: SWIM failure detection ([`FailureDetector`]: probe /
 //!   indirect probe / suspect / incarnation-numbered refutation) over
@@ -28,15 +25,16 @@
 //!   descriptors re-probed so partition merges heal with **zero**
 //!   directory-assisted bridges, and per-observer membership timelines
 //!   exported as `mship.*` telemetry spans.
-//! * [`SybilSimulator`] — the active adversary: an attacker minting
-//!   `f · N` identities that push-flood and answer exchanges with
-//!   poisoned buffers, measuring how far naive shuffle views drift
-//!   towards the attacker.
-//! * [`BrahmsSimulator`] / [`EngineBrahmsOverlay`] — the evaluated
-//!   defense: Brahms byzantine-resilient sampling (push quotas voiding
-//!   flooded rounds, min-wise independent samplers anchoring views to
-//!   the full observation history), replaying the *same* attack
-//!   scenario for directly comparable poisoning curves.
+//! * [`sybil`] — the active adversary: an attacker minting `f · N`
+//!   identities that run as engine nodes, push-flood honest nodes and
+//!   answer exchanges with poisoned messages. It is deployed against the
+//!   naive shuffle ([`EngineGossipOverlay::ring_under_attack`]) and
+//!   against the defense below, so both poisoning curves come from the
+//!   same attack.
+//! * [`EngineBrahmsOverlay`] — the evaluated defense: Brahms
+//!   byzantine-resilient sampling (push quotas voiding flooded rounds,
+//!   min-wise independent samplers anchoring views to the full
+//!   observation history).
 //!
 //! CYCLOSA uses the resulting random views for two purposes: selecting the
 //! `k + 1` relays of each query (load balancing falls out of view
@@ -50,17 +48,27 @@ pub mod hyparview;
 pub mod membership;
 pub mod node;
 pub mod overlay;
-pub mod simulator;
 pub mod swim;
 pub mod sybil;
 pub mod view;
 
-pub use brahms::{BrahmsConfig, BrahmsNode, BrahmsSimulator, EngineBrahmsOverlay, MinWiseSampler};
+pub use brahms::{BrahmsConfig, BrahmsNode, EngineBrahmsOverlay, MinWiseSampler};
 pub use hyparview::{HyParViewConfig, PartialViews};
 pub use membership::{MembershipConfig, SwimGossipOverlay, MEMBERSHIP_EVENT_NAMES};
 pub use node::{ExchangeBuffer, PeerSamplingConfig, PeerSamplingNode, SelectionPolicy};
-pub use overlay::{EngineGossipConfig, EngineGossipOverlay};
-pub use simulator::{overlay_metrics_from_views, GossipSimulator, OverlayMetrics};
+pub use overlay::{
+    overlay_metrics_from_views, EngineGossipConfig, EngineGossipOverlay, OverlayMetrics,
+};
 pub use swim::{FailureDetector, MemberState, MembershipEvent, MembershipEventKind, SwimRumor};
-pub use sybil::{is_sybil, sybil_view_fraction, SybilAttackConfig, SybilSimulator, SYBIL_BASE};
+pub use sybil::{is_sybil, sybil_view_fraction, SybilAttackConfig, SYBIL_BASE};
 pub use view::{Descriptor, PeerId, View};
+
+use cyclosa_util::rng::{Rng, SplitMix64, Xoshiro256StarStar};
+
+/// The RNG stream of one engine participant: a pure function of
+/// `(seed, node id)`, so a run never depends on which shard hosts the node
+/// or in which order nodes are registered.
+pub(crate) fn node_rng(seed: u64, id: u64) -> Xoshiro256StarStar {
+    let mut sm = SplitMix64::new(seed);
+    Xoshiro256StarStar::seed_from_u64(sm.next_u64() ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}

@@ -38,7 +38,8 @@
 //! the zero-perturbation contract of `cyclosa-telemetry`.
 
 use crate::hyparview::{HyParViewConfig, PartialViews};
-use crate::simulator::{overlay_metrics_from_views, OverlayMetrics};
+use crate::node_rng;
+use crate::overlay::{overlay_metrics_from_views, OverlayMetrics};
 use crate::swim::{FailureDetector, MemberState, MembershipEvent, MembershipEventKind, SwimRumor};
 use crate::view::PeerId;
 use cyclosa_net::engine::Engine;
@@ -46,7 +47,7 @@ use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_telemetry::trace::{NodeTracer, TraceSink};
-use cyclosa_util::rng::{Rng, SplitMix64, Xoshiro256StarStar};
+use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
@@ -141,11 +142,6 @@ pub const MEMBERSHIP_EVENT_NAMES: [&str; 8] = [
     "mship.quarantine",
     "mship.readmit",
 ];
-
-fn node_rng(seed: u64, id: u64) -> Xoshiro256StarStar {
-    let mut sm = SplitMix64::new(seed);
-    Xoshiro256StarStar::seed_from_u64(sm.next_u64() ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
 
 // ---------------------------------------------------------------------
 // Wire codec. All integers little-endian; rumors are 17-byte records

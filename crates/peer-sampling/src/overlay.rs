@@ -1,12 +1,10 @@
-//! The peer-sampling protocol running on a discrete-event [`Engine`] —
-//! the event-driven port of [`crate::simulator::GossipSimulator`].
+//! The shuffle peer-sampling protocol running on a discrete-event
+//! [`Engine`].
 //!
-//! Where the synchronous simulator exchanges buffers by direct method
-//! calls, this overlay runs the same protocol over simulated network
-//! messages: each node arms a periodic round timer, pushes its buffer to
-//! the selected partner, and merges the pulled reply. Unanswered exchanges
-//! (crashed partners) are blacklisted at the next round, mirroring how
-//! CYCLOSA clients drop unresponsive proxies.
+//! Each node arms a periodic round timer, pushes its exchange buffer to
+//! the selected partner over a simulated network message, and merges the
+//! pulled reply. A partner that has not answered by the next round is
+//! blacklisted, mirroring how CYCLOSA clients drop unresponsive proxies.
 //!
 //! Every node draws from its own seed-derived RNG stream, so an execution
 //! is a pure function of `(seed, population, config)` — identical on the
@@ -18,29 +16,31 @@
 //! minority component and the rest for a window (nothing crashes), and at
 //! the merge re-introduces a few bridge peers on each side so gossip can
 //! re-join components that have blacklisted every reference to each other.
+//! This directory-bridge healing is the baseline the bridge-free
+//! [`crate::SwimGossipOverlay`] is compared against.
 //!
-//! The overlay is churn-observable *during* a run, not only at the end:
+//! The overlay is observable *during* a run, not only at the end:
 //! [`EngineGossipOverlay::ring_with_metrics`] threads a
 //! [`cyclosa_runtime::metrics::Registry`] through every node, recording a
-//! view-staleness histogram (mean descriptor age per round) and a
-//! dead-reference-fraction histogram as the run unfolds. When
-//! [`EngineGossipConfig::staleness_threshold`] is set, a node whose view
-//! goes stale *re-assesses eagerly*: it halves its next round delay until
-//! the view freshens, accelerating repair after mass failures. The
-//! decision reads only the node's own deterministic view state (never the
-//! metrics), so instrumented and eager runs stay bit-identical across
-//! engines and shard counts.
+//! view-staleness histogram (mean descriptor age per round) as the run
+//! unfolds. Recording never draws randomness, so instrumented runs stay
+//! bit-identical to uninstrumented ones.
+//!
+//! [`EngineGossipOverlay::ring_under_attack`] deploys the same honest
+//! population next to the Sybil attacker of [`crate::sybil`].
 
 use crate::node::{ExchangeBuffer, PeerSamplingConfig, PeerSamplingNode};
-use crate::simulator::{overlay_metrics_from_views, OverlayMetrics};
+use crate::node_rng;
+use crate::sybil::{Poison, SybilAttackConfig};
 use crate::view::{Descriptor, PeerId, View};
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_runtime::metrics::{Counter, Histogram, Registry};
-use cyclosa_util::rng::{SplitMix64, Xoshiro256StarStar};
-use std::sync::{Arc, Mutex, RwLock};
+use cyclosa_runtime::metrics::{Histogram, Registry};
+use cyclosa_util::rng::Xoshiro256StarStar;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::{Arc, Mutex};
 
 /// Message tag: push half of a gossip exchange.
 const TAG_PUSH: u32 = 0x9001;
@@ -53,6 +53,77 @@ const TAG_REPLY: u32 = 0x9002;
 /// partition merges), instead of running a gossip round.
 const BRIDGE_BASE: u64 = 1 << 32;
 
+/// Quality metrics of a gossip overlay at one point in time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OverlayMetrics {
+    /// Number of alive nodes.
+    pub nodes: usize,
+    /// Whether the directed union of views is weakly connected.
+    pub connected: bool,
+    /// Average in-degree (how many views a node appears in).
+    pub mean_in_degree: f64,
+    /// Maximum in-degree across nodes.
+    pub max_in_degree: usize,
+    /// Fraction of view slots pointing at dead nodes.
+    pub dead_references: f64,
+}
+
+/// Computes overlay quality metrics from `(node, view peers)` pairs of the
+/// *alive* population. References to peers absent from `views` count as
+/// dead. Shared by the shuffle and the membership overlays.
+pub fn overlay_metrics_from_views(views: &[(PeerId, Vec<PeerId>)]) -> OverlayMetrics {
+    let alive_set: BTreeSet<PeerId> = views.iter().map(|(id, _)| *id).collect();
+    let mut in_degree: BTreeMap<PeerId, usize> = views.iter().map(|(id, _)| (*id, 0)).collect();
+    let mut dead_refs = 0usize;
+    let mut total_refs = 0usize;
+    let mut adjacency: BTreeMap<PeerId, Vec<PeerId>> = BTreeMap::new();
+    for (id, peers) in views {
+        for &peer in peers {
+            total_refs += 1;
+            if alive_set.contains(&peer) {
+                *in_degree.entry(peer).or_insert(0) += 1;
+                adjacency.entry(*id).or_default().push(peer);
+                // Treat the overlay as undirected for connectivity.
+                adjacency.entry(peer).or_default().push(*id);
+            } else {
+                dead_refs += 1;
+            }
+        }
+    }
+    let connected = if views.is_empty() {
+        true
+    } else {
+        let mut visited = BTreeSet::new();
+        let mut queue = VecDeque::new();
+        queue.push_back(views[0].0);
+        visited.insert(views[0].0);
+        while let Some(p) = queue.pop_front() {
+            for &next in adjacency.get(&p).map(|v| v.as_slice()).unwrap_or(&[]) {
+                if visited.insert(next) {
+                    queue.push_back(next);
+                }
+            }
+        }
+        visited.len() == views.len()
+    };
+    let mean_in_degree = if views.is_empty() {
+        0.0
+    } else {
+        in_degree.values().sum::<usize>() as f64 / views.len() as f64
+    };
+    OverlayMetrics {
+        nodes: views.len(),
+        connected,
+        mean_in_degree,
+        max_in_degree: in_degree.values().copied().max().unwrap_or(0),
+        dead_references: if total_refs == 0 {
+            0.0
+        } else {
+            dead_refs as f64 / total_refs as f64
+        },
+    }
+}
+
 /// Configuration of the event-driven gossip overlay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineGossipConfig {
@@ -63,10 +134,6 @@ pub struct EngineGossipConfig {
     /// Interval between a node's rounds (must comfortably exceed one
     /// network round trip so replies arrive before the next round).
     pub round_period: SimTime,
-    /// Mean view age (in rounds) beyond which a node considers its view
-    /// stale and re-assesses eagerly: its next round fires after half the
-    /// period, until the view freshens. `None` keeps the fixed cadence.
-    pub staleness_threshold: Option<u32>,
 }
 
 impl Default for EngineGossipConfig {
@@ -75,7 +142,6 @@ impl Default for EngineGossipConfig {
             protocol: PeerSamplingConfig::default(),
             rounds: 30,
             round_period: SimTime::from_secs(1),
-            staleness_threshold: None,
         }
     }
 }
@@ -103,83 +169,12 @@ fn decode(bytes: &[u8]) -> Option<ExchangeBuffer> {
     Some(ExchangeBuffer { descriptors })
 }
 
-fn node_rng(seed: u64, id: u64) -> Xoshiro256StarStar {
-    let mut sm = SplitMix64::new(seed);
-    let base = cyclosa_util::rng::Rng::next_u64(&mut sm);
-    Xoshiro256StarStar::seed_from_u64(base ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// The scenario driver's knowledge of who is dead *when*: a
-/// piecewise-constant liveness timeline per peer, built from the kill /
-/// revive / rejoin schedule. Behaviours evaluate it at their own simulated
-/// round time, so the live dead-reference histogram reflects the state at
-/// the moment of each sample rather than at scheduling time (a kill
-/// scheduled for `t = 100 s` must not count as dead at `t = 5 s`).
-/// Same-instant marks apply in call order (last write wins), mirroring
-/// `LossSchedule`.
-#[derive(Debug, Default)]
-struct DeadTimeline {
-    steps: std::collections::BTreeMap<PeerId, Vec<(SimTime, bool)>>,
-}
-
-impl DeadTimeline {
-    fn mark(&mut self, at: SimTime, peer: PeerId, dead: bool) {
-        let steps = self.steps.entry(peer).or_default();
-        let index = steps.partition_point(|(t, _)| *t <= at);
-        steps.insert(index, (at, dead));
-    }
-
-    /// Whether `peer` is dead at simulated time `at`.
-    fn is_dead_at(&self, peer: PeerId, at: SimTime) -> bool {
-        self.steps
-            .get(&peer)
-            .is_some_and(|steps| match steps.partition_point(|(t, _)| *t <= at) {
-                0 => false,
-                n => steps[n - 1].1,
-            })
-    }
-
-    /// Whether `peer` ends the schedule dead (the end-of-run state the
-    /// overlay's `views`/`metrics`/`len` accessors report against).
-    fn is_dead_finally(&self, peer: PeerId) -> bool {
-        self.steps
-            .get(&peer)
-            .and_then(|steps| steps.last())
-            .is_some_and(|(_, dead)| *dead)
-    }
-
-    /// Number of peers that end the schedule dead.
-    fn finally_dead(&self) -> usize {
-        self.steps
-            .values()
-            .filter(|steps| steps.last().is_some_and(|(_, dead)| *dead))
-            .count()
-    }
-}
-
-/// The live-observability handles every gossip participant records into.
-/// Cheap Arc-backed clones of the same registry-owned metrics; recording
-/// never draws randomness and never feeds back into scheduling, so
-/// instrumented runs stay bit-identical to uninstrumented ones.
-#[derive(Debug, Clone)]
-struct OverlayProbes {
-    /// Mean descriptor age of a node's view, recorded every round.
-    staleness_rounds: Histogram,
-    /// Fraction (permille) of a node's view pointing at dead peers,
-    /// recorded every round.
-    dead_fraction_permille: Histogram,
-    /// Rounds that fired on the shortened eager cadence.
-    eager_rounds: Counter,
-}
-
-impl OverlayProbes {
-    fn from_registry(registry: &Registry) -> Self {
-        Self {
-            staleness_rounds: registry.histogram("overlay.view_staleness_rounds"),
-            dead_fraction_permille: registry.histogram("overlay.dead_view_references_permille"),
-            eager_rounds: registry.counter("overlay.eager_rounds"),
-        }
-    }
+/// A Sybil's poisoned exchange buffer: exclusively fresh descriptors, so
+/// the healer policy (drop oldest) never prefers honest entries over them.
+fn encode_fresh(sybils: &[PeerId]) -> Vec<u8> {
+    encode(&ExchangeBuffer {
+        descriptors: sybils.iter().map(|&peer| Descriptor::fresh(peer)).collect(),
+    })
 }
 
 /// Mean descriptor age of a view, rounded to whole rounds (`None` for an
@@ -199,53 +194,11 @@ struct GossipBehavior {
     rng: Xoshiro256StarStar,
     rounds_left: usize,
     round_period: SimTime,
-    staleness_threshold: Option<u32>,
-    /// Live-metrics handles — `None` for plain [`EngineGossipOverlay::ring`]
-    /// deployments, which then skip the per-round recording (and the shared
-    /// dead-timeline lock) entirely.
-    probes: Option<OverlayProbes>,
-    /// The scenario driver's kill/revive schedule, evaluated at round time
-    /// — observability only, never consulted by protocol logic.
-    dead: Arc<RwLock<DeadTimeline>>,
-    /// The exchange in flight, if any: partner, sent buffer and the round
-    /// time the push went out (blacklisting waits a full `round_period`
-    /// from here, however short the eager cadence gets).
-    awaiting: Option<(PeerId, ExchangeBuffer, SimTime)>,
-}
-
-impl GossipBehavior {
-    /// Records the round's live metrics (when a registry is attached) and
-    /// decides whether the view is stale enough for an eager next round.
-    /// The staleness decision reads only the node's own view
-    /// (deterministic engine state), never the metrics, so eager and
-    /// instrumented runs remain bit-identical across engines.
-    fn observe_round(&self, node: &PeerSamplingNode, now: SimTime) -> bool {
-        if self.probes.is_none() && self.staleness_threshold.is_none() {
-            return false;
-        }
-        let Some(mean_age) = mean_view_age(node.view()) else {
-            return false;
-        };
-        if let Some(probes) = &self.probes {
-            probes.staleness_rounds.record(mean_age);
-            // Shared read lock only: the timeline is mutated exclusively by
-            // the scenario driver between runs, so concurrent shards never
-            // serialize on it mid-run.
-            let dead = self.dead.read().expect("dead timeline poisoned");
-            let view_len = node.view().len();
-            let dead_refs = node
-                .view()
-                .descriptors()
-                .iter()
-                .filter(|d| dead.is_dead_at(d.peer, now))
-                .count();
-            probes
-                .dead_fraction_permille
-                .record((dead_refs * 1000 / view_len) as u64);
-        }
-        self.staleness_threshold
-            .is_some_and(|threshold| mean_age > u64::from(threshold))
-    }
+    /// The `overlay.view_staleness_rounds` histogram, recorded every round
+    /// — `None` for plain [`EngineGossipOverlay::ring`] deployments.
+    staleness: Option<Histogram>,
+    /// The exchange in flight, if any: partner and sent buffer.
+    awaiting: Option<(PeerId, ExchangeBuffer)>,
 }
 
 impl NodeBehavior for GossipBehavior {
@@ -268,9 +221,9 @@ impl NodeBehavior for GossipBehavior {
                 if self
                     .awaiting
                     .as_ref()
-                    .is_some_and(|(partner, _, _)| partner.0 == envelope.src.0)
+                    .is_some_and(|(partner, _)| partner.0 == envelope.src.0)
                 => {
-                    let (_, sent, _) = self.awaiting.take().expect("checked above");
+                    let (_, sent) = self.awaiting.take().expect("checked above");
                     node.merge(&received, &sent, &mut self.rng);
                 }
             _ => {}
@@ -286,59 +239,36 @@ impl NodeBehavior for GossipBehavior {
             node.bootstrap([PeerId(token - BRIDGE_BASE)]);
             return;
         }
-        if let Some((partner, sent, since)) = self.awaiting.take() {
-            // The partner gets the full round period to answer — the
-            // contract `round_period` is sized against — before it is
+        if let Some((partner, _)) = self.awaiting.take() {
+            // The partner had the full round period to answer — the
+            // contract `round_period` is sized against — so it is
             // blacklisted, exactly as CYCLOSA clients blacklist
             // unresponsive proxies.
-            let elapsed = ctx.now().saturating_sub(since);
-            if elapsed >= self.round_period {
-                node.blacklist(partner);
-            } else {
-                // An eager (half-period) wake caught the exchange still
-                // within its round-trip budget. This is not a round: no
-                // ageing, no rounds_left spend, no spurious blacklist —
-                // just re-arm for the remainder of the partner's budget.
-                self.awaiting = Some((partner, sent, since));
-                ctx.set_timer(self.round_period - elapsed, 0);
-                return;
-            }
+            node.blacklist(partner);
         }
         node.increase_ages();
-        let stale = self.observe_round(&node, ctx.now());
+        if let (Some(staleness), Some(mean_age)) = (&self.staleness, mean_view_age(node.view())) {
+            staleness.record(mean_age);
+        }
         if let Some(partner) = node.select_partner(&mut self.rng) {
             let buffer = node.prepare_buffer(&mut self.rng);
             ctx.send(NodeId(partner.0), TAG_PUSH, encode(&buffer));
-            self.awaiting = Some((partner, buffer, ctx.now()));
+            self.awaiting = Some((partner, buffer));
         }
         self.rounds_left = self.rounds_left.saturating_sub(1);
         if self.rounds_left > 0 {
-            // Eager re-assessment: a stale view gossips again after half a
-            // period, accelerating repair after mass failures.
-            let delay = if stale {
-                if let Some(probes) = &self.probes {
-                    probes.eager_rounds.inc();
-                }
-                SimTime::from_nanos(self.round_period.as_nanos() / 2)
-            } else {
-                self.round_period
-            };
-            ctx.set_timer(delay, 0);
+            ctx.set_timer(self.round_period, 0);
         }
     }
 }
 
 /// A gossip overlay deployed on an [`Engine`]; inspect views and quality
 /// metrics after `engine.run()`, or pass a [`Registry`] to
-/// [`EngineGossipOverlay::ring_with_metrics`] for live per-round staleness
-/// and dead-reference histograms.
+/// [`EngineGossipOverlay::ring_with_metrics`] for a live per-round
+/// staleness histogram.
 #[derive(Debug)]
 pub struct EngineGossipOverlay {
     handles: Vec<(PeerId, Arc<Mutex<PeerSamplingNode>>)>,
-    dead: Arc<RwLock<DeadTimeline>>,
-    probes: Option<OverlayProbes>,
-    config: EngineGossipConfig,
-    seed: u64,
 }
 
 impl EngineGossipOverlay {
@@ -356,18 +286,14 @@ impl EngineGossipOverlay {
         config: EngineGossipConfig,
         seed: u64,
     ) -> Self {
-        // No registry: nodes skip per-round recording (and the shared
-        // dead-timeline lock) entirely.
-        Self::deploy(engine, count, config, seed, None)
+        Self::deploy(engine, count, config, seed, None, &[])
     }
 
     /// [`EngineGossipOverlay::ring`] with live observability: every node
-    /// records its per-round view staleness and dead-reference fraction
-    /// into `registry` (histograms `overlay.view_staleness_rounds` and
-    /// `overlay.dead_view_references_permille`, counter
-    /// `overlay.eager_rounds`) *while the run executes* — today's
-    /// [`EngineGossipOverlay::metrics`] end-of-run summary stays available
-    /// on top.
+    /// records its per-round mean view age into the
+    /// `overlay.view_staleness_rounds` histogram of `registry` *while the
+    /// run executes* — the [`EngineGossipOverlay::metrics`] end-of-run
+    /// summary stays available on top.
     ///
     /// # Panics
     ///
@@ -379,29 +305,68 @@ impl EngineGossipOverlay {
         seed: u64,
         registry: &Registry,
     ) -> Self {
-        Self::deploy(
-            engine,
-            count,
-            config,
-            seed,
-            Some(OverlayProbes::from_registry(registry)),
-        )
+        let staleness = registry.histogram("overlay.view_staleness_rounds");
+        Self::deploy(engine, count, config, seed, Some(staleness), &[])
     }
 
+    /// The naive shuffle under Sybil attack: `attack.honest` nodes
+    /// bootstrapped in a ring, each also knowing one Sybil toehold, plus
+    /// the attacker's identities as engine nodes that answer every push
+    /// with a buffer of fresh Sybil descriptors and push-flood random
+    /// honest nodes every round. Mirrors [`crate::EngineBrahmsOverlay::ring`],
+    /// so both samplers face the same attack. [`EngineGossipOverlay::views`]
+    /// then reports the honest population only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `attack.honest < 2`.
+    pub fn ring_under_attack<E: Engine + ?Sized>(
+        engine: &mut E,
+        attack: SybilAttackConfig,
+        config: EngineGossipConfig,
+    ) -> Self {
+        let overlay = Self::deploy(
+            engine,
+            attack.honest,
+            config,
+            attack.seed,
+            None,
+            &attack.toeholds(),
+        );
+        attack.deploy_sybils(
+            engine,
+            config.rounds,
+            config.round_period,
+            attack.seed,
+            Poison {
+                request: TAG_PUSH,
+                answer: TAG_REPLY,
+                push: TAG_PUSH,
+                ids: config.protocol.exchange_size,
+                push_carries_poison: true,
+                encode: encode_fresh,
+            },
+        );
+        overlay
+    }
+
+    /// Registers the ring; node `i` also bootstraps on `toeholds[i]` when
+    /// present.
     fn deploy<E: Engine + ?Sized>(
         engine: &mut E,
         count: usize,
         config: EngineGossipConfig,
         seed: u64,
-        probes: Option<OverlayProbes>,
+        staleness: Option<Histogram>,
+        toeholds: &[PeerId],
     ) -> Self {
         assert!(count >= 2, "a gossip overlay needs at least two nodes");
-        let dead = Arc::new(RwLock::new(DeadTimeline::default()));
         let mut handles = Vec::with_capacity(count);
         for i in 0..count {
             let id = PeerId(i as u64);
             let mut node = PeerSamplingNode::new(id, config.protocol);
             node.bootstrap([PeerId(((i + 1) % count) as u64)]);
+            node.bootstrap(toeholds.get(i).copied());
             let handle = Arc::new(Mutex::new(node));
             handles.push((id, handle.clone()));
             engine.add_node(
@@ -411,122 +376,13 @@ impl EngineGossipOverlay {
                     rng: node_rng(seed, id.0),
                     rounds_left: config.rounds,
                     round_period: config.round_period,
-                    staleness_threshold: config.staleness_threshold,
-                    probes: probes.clone(),
-                    dead: dead.clone(),
+                    staleness: staleness.clone(),
                     awaiting: None,
                 }),
             );
             engine.schedule_timer(config.round_period, NodeId(id.0), 0);
         }
-        Self {
-            handles,
-            dead,
-            probes,
-            config,
-            seed,
-        }
-    }
-
-    /// Crashes `peer` on the engine: it stops gossiping and answering, and
-    /// is excluded from [`EngineGossipOverlay::metrics`]. Call between
-    /// engine runs, not while one is in progress.
-    pub fn kill<E: Engine + ?Sized>(&mut self, engine: &mut E, peer: PeerId) {
-        let now = engine.now();
-        engine.crash(NodeId(peer.0));
-        self.dead
-            .write()
-            .expect("dead timeline poisoned")
-            .mark(now, peer, true);
-    }
-
-    /// Schedules `peer` to crash at simulated time `at` — a deterministic
-    /// mid-run failure (the rest of the overlay repairs itself through the
-    /// blacklist-on-silence rule).
-    pub fn schedule_kill<E: Engine + ?Sized>(&mut self, engine: &mut E, peer: PeerId, at: SimTime) {
-        engine.schedule_crash(at, NodeId(peer.0));
-        self.dead
-            .write()
-            .expect("dead timeline poisoned")
-            .mark(at, peer, true);
-    }
-
-    /// Schedules `peer` to recover at simulated time `at`, state intact,
-    /// and re-arms its round timer so gossip resumes: its stale view heals
-    /// as fresh descriptors flow in, and the rest of the population
-    /// re-learns it from the descriptors it pushes.
-    pub fn revive<E: Engine + ?Sized>(&mut self, engine: &mut E, peer: PeerId, at: SimTime) {
-        engine.schedule_recover(at, NodeId(peer.0));
-        // Timers of crashed nodes are dropped at fire time, so the round
-        // chain broke at the crash — restart it one period after recovery
-        // (membership sorts before timers in the same slot, so even an
-        // `at`-aligned timer would find the node alive).
-        engine.schedule_timer(at + self.config.round_period, NodeId(peer.0), 0);
-        self.dead
-            .write()
-            .expect("dead timeline poisoned")
-            .mark(at, peer, false);
-    }
-
-    /// Schedules `peer` to leave at `at` and rejoin at `rejoin_at` with a
-    /// **fresh** protocol state, bootstrapped on its ring successor among
-    /// the population alive *at the rejoin instant* (the
-    /// directory-assisted re-entry of the paper's bootstrap, §V-D). The
-    /// rejoined node runs `config.rounds` new gossip rounds; its first
-    /// fires one round period after the rejoin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is not part of the overlay or no other peer is
-    /// alive at `rejoin_at` to bootstrap from.
-    pub fn schedule_rejoin<E: Engine + ?Sized>(
-        &mut self,
-        engine: &mut E,
-        peer: PeerId,
-        at: SimTime,
-        rejoin_at: SimTime,
-    ) {
-        let position = self
-            .handles
-            .iter()
-            .position(|(id, _)| *id == peer)
-            .expect("peer must be part of the overlay");
-        // The successor must be alive when the rejoined node boots from it
-        // — a peer merely scheduled to recover *later* would leave the
-        // fresh view pointing at a dead node for its whole first rounds.
-        let successor = {
-            let dead = self.dead.read().expect("dead timeline poisoned");
-            (1..self.handles.len())
-                .map(|offset| self.handles[(position + offset) % self.handles.len()].0)
-                .find(|candidate| !dead.is_dead_at(*candidate, rejoin_at) && *candidate != peer)
-                .expect("need an alive peer to bootstrap the rejoin from")
-        };
-        engine.schedule_leave(at, NodeId(peer.0));
-        let mut node = PeerSamplingNode::new(peer, self.config.protocol);
-        node.bootstrap([successor]);
-        let handle = Arc::new(Mutex::new(node));
-        self.handles[position].1 = handle.clone();
-        engine.schedule_join(
-            rejoin_at,
-            NodeId(peer.0),
-            Box::new(GossipBehavior {
-                node: handle,
-                rng: node_rng(self.seed, peer.0),
-                rounds_left: self.config.rounds,
-                round_period: self.config.round_period,
-                staleness_threshold: self.config.staleness_threshold,
-                probes: self.probes.clone(),
-                dead: self.dead.clone(),
-                awaiting: None,
-            }),
-        );
-        engine.schedule_timer(rejoin_at + self.config.round_period, NodeId(peer.0), 0);
-        // Dead exactly for the `[at, rejoin_at)` window: the live
-        // histograms see it dead in between, the end-of-run accessors see
-        // it back.
-        let mut dead = self.dead.write().expect("dead timeline poisoned");
-        dead.mark(at, peer, true);
-        dead.mark(rejoin_at, peer, false);
+        Self { handles }
     }
 
     /// Schedules a network partition: every link between `minority` and
@@ -597,28 +453,11 @@ impl EngineGossipOverlay {
         }
     }
 
-    /// Number of alive nodes.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-            - self
-                .dead
-                .read()
-                .expect("dead timeline poisoned")
-                .finally_dead()
-    }
-
-    /// Returns `true` when no node is alive.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The current `(node, view peers)` pairs of the alive population,
+    /// The current `(node, view peers)` pairs of the (honest) population,
     /// sorted by node id.
     pub fn views(&self) -> Vec<(PeerId, Vec<PeerId>)> {
-        let dead = self.dead.read().expect("dead timeline poisoned");
         self.handles
             .iter()
-            .filter(|(id, _)| !dead.is_dead_finally(*id))
             .map(|(id, node)| {
                 (
                     *id,
@@ -628,7 +467,7 @@ impl EngineGossipOverlay {
             .collect()
     }
 
-    /// Overlay quality metrics over the alive population.
+    /// Overlay quality metrics over the population.
     pub fn metrics(&self) -> OverlayMetrics {
         overlay_metrics_from_views(&self.views())
     }
@@ -685,247 +524,6 @@ mod tests {
             let mut engine = ShardedEngine::new(21, shards);
             let observed = converged_views(&mut engine, 60, 21);
             assert_eq!(observed, expected, "views diverged with {shards} shards");
-        }
-    }
-
-    #[test]
-    fn crashed_nodes_are_blacklisted_and_forgotten() {
-        let mut simulation = Simulation::new(5);
-        let config = EngineGossipConfig {
-            rounds: 60,
-            ..EngineGossipConfig::default()
-        };
-        let mut overlay = EngineGossipOverlay::ring(&mut simulation, 60, config, 5);
-        simulation.run_until(SimTime::from_secs(20));
-        for i in 0..10 {
-            overlay.kill(&mut simulation, PeerId(i));
-        }
-        simulation.run();
-        let metrics = overlay.metrics();
-        assert_eq!(metrics.nodes, 50);
-        assert!(metrics.connected);
-        assert!(
-            metrics.dead_references < 0.10,
-            "dead references still at {:.2}",
-            metrics.dead_references
-        );
-    }
-
-    #[test]
-    fn revived_nodes_resume_gossip_and_heal_their_views() {
-        let mut simulation = Simulation::new(17);
-        let config = EngineGossipConfig {
-            rounds: 120,
-            ..EngineGossipConfig::default()
-        };
-        let mut overlay = EngineGossipOverlay::ring(&mut simulation, 50, config, 17);
-        // Ten nodes crash mid-run and recover 30 s later.
-        for i in 0..10 {
-            overlay.schedule_kill(&mut simulation, PeerId(i), SimTime::from_secs(20));
-            overlay.revive(&mut simulation, PeerId(i), SimTime::from_secs(50));
-        }
-        simulation.run();
-        let metrics = overlay.metrics();
-        assert_eq!(metrics.nodes, 50, "revived nodes count as alive again");
-        assert!(metrics.connected, "the healed overlay must reconnect");
-        assert!(
-            metrics.dead_references < 0.05,
-            "dead references at {:.2} after healing",
-            metrics.dead_references
-        );
-        // The revived nodes gossiped again: their views are full.
-        for (id, peers) in overlay.views() {
-            if id.0 < 10 {
-                assert!(
-                    peers.len() >= 10,
-                    "revived node {id:?} still has a starved view ({})",
-                    peers.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rejoined_nodes_restart_from_a_live_successor() {
-        let mut simulation = Simulation::new(23);
-        let config = EngineGossipConfig {
-            rounds: 120,
-            ..EngineGossipConfig::default()
-        };
-        let mut overlay = EngineGossipOverlay::ring(&mut simulation, 40, config, 23);
-        for i in 0..5 {
-            overlay.schedule_rejoin(
-                &mut simulation,
-                PeerId(i),
-                SimTime::from_secs(15),
-                SimTime::from_secs(45),
-            );
-        }
-        simulation.run();
-        let metrics = overlay.metrics();
-        assert_eq!(metrics.nodes, 40);
-        assert!(metrics.connected);
-        for (id, peers) in overlay.views() {
-            if id.0 < 5 {
-                assert!(
-                    peers.len() >= 10,
-                    "rejoined node {id:?} failed to repopulate its view ({})",
-                    peers.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn churned_overlay_is_bit_identical_across_engines() {
-        let run = |engine: &mut dyn Engine| {
-            let config = EngineGossipConfig {
-                rounds: 60,
-                ..EngineGossipConfig::default()
-            };
-            let mut overlay = EngineGossipOverlay::ring(engine, 40, config, 31);
-            for i in 0..4 {
-                overlay.schedule_kill(engine, PeerId(i), SimTime::from_secs(10));
-                overlay.revive(engine, PeerId(i), SimTime::from_secs(25));
-            }
-            overlay.schedule_rejoin(
-                engine,
-                PeerId(20),
-                SimTime::from_secs(12),
-                SimTime::from_secs(30),
-            );
-            engine.run();
-            let mut views = overlay.views();
-            for (_, peers) in &mut views {
-                peers.sort_unstable();
-            }
-            views
-        };
-        let mut sequential = Simulation::new(31);
-        let expected = run(&mut sequential);
-        for shards in [2, 4, 8] {
-            let mut engine = ShardedEngine::new(31, shards);
-            assert_eq!(
-                run(&mut engine),
-                expected,
-                "churned views diverged with {shards} shards"
-            );
-        }
-    }
-
-    #[test]
-    fn live_metrics_record_staleness_and_dead_references_during_the_run() {
-        let mut simulation = Simulation::new(41);
-        let registry = Registry::new();
-        let config = EngineGossipConfig {
-            rounds: 60,
-            ..EngineGossipConfig::default()
-        };
-        let mut overlay =
-            EngineGossipOverlay::ring_with_metrics(&mut simulation, 50, config, 41, &registry);
-        simulation.run_until(SimTime::from_secs(15));
-        for i in 0..15 {
-            overlay.schedule_kill(&mut simulation, PeerId(i), SimTime::from_secs(16));
-        }
-        simulation.run();
-        let snapshot = registry.snapshot();
-        let staleness = &snapshot
-            .histograms
-            .iter()
-            .find(|(name, _)| name == "overlay.view_staleness_rounds")
-            .expect("staleness histogram registered")
-            .1;
-        assert!(staleness.count > 0, "staleness must be sampled per round");
-        let dead_fraction = &snapshot
-            .histograms
-            .iter()
-            .find(|(name, _)| name == "overlay.dead_view_references_permille")
-            .expect("dead-reference histogram registered")
-            .1;
-        assert!(dead_fraction.count > 0);
-        assert!(
-            dead_fraction.max > 0,
-            "after a mass kill some views must reference dead peers"
-        );
-        // Without a staleness threshold the cadence never shortens.
-        let eager = snapshot
-            .counters
-            .iter()
-            .find(|(name, _)| name == "overlay.eager_rounds")
-            .expect("eager counter registered")
-            .1;
-        assert_eq!(eager, 0);
-    }
-
-    #[test]
-    fn stale_views_trigger_eager_rounds_that_accelerate_repair() {
-        let run = |threshold: Option<u32>| {
-            let mut simulation = Simulation::new(43);
-            let registry = Registry::new();
-            let config = EngineGossipConfig {
-                rounds: 40,
-                staleness_threshold: threshold,
-                ..EngineGossipConfig::default()
-            };
-            let mut overlay =
-                EngineGossipOverlay::ring_with_metrics(&mut simulation, 50, config, 43, &registry);
-            // A third of the population dies at once: survivors' views go
-            // stale until gossip washes the dead references out.
-            for i in 0..16 {
-                overlay.schedule_kill(&mut simulation, PeerId(i), SimTime::from_secs(10));
-            }
-            simulation.run();
-            let eager = registry.counter("overlay.eager_rounds").get();
-            (simulation.now(), eager, overlay.metrics())
-        };
-        let (fixed_end, fixed_eager, fixed_metrics) = run(None);
-        let (eager_end, eager_rounds, eager_metrics) = run(Some(2));
-        assert_eq!(fixed_eager, 0);
-        assert!(
-            eager_rounds > 0,
-            "a mass kill must push mean view age past the threshold"
-        );
-        assert!(
-            eager_end < fixed_end,
-            "eager rounds compress the run ({eager_end} vs {fixed_end})"
-        );
-        assert!(fixed_metrics.connected && eager_metrics.connected);
-        assert!(
-            eager_metrics.dead_references <= fixed_metrics.dead_references + 1e-9,
-            "eager re-assessment must not heal slower ({:.3} vs {:.3})",
-            eager_metrics.dead_references,
-            fixed_metrics.dead_references
-        );
-    }
-
-    #[test]
-    fn eager_overlay_is_bit_identical_across_engines() {
-        let run = |engine: &mut dyn Engine| {
-            let config = EngineGossipConfig {
-                rounds: 40,
-                staleness_threshold: Some(2),
-                ..EngineGossipConfig::default()
-            };
-            let mut overlay = EngineGossipOverlay::ring(engine, 40, config, 47);
-            for i in 0..10 {
-                overlay.schedule_kill(engine, PeerId(i), SimTime::from_secs(8));
-            }
-            engine.run();
-            let mut views = overlay.views();
-            for (_, peers) in &mut views {
-                peers.sort_unstable();
-            }
-            views
-        };
-        let mut sequential = Simulation::new(47);
-        let expected = run(&mut sequential);
-        for shards in [2, 4, 8] {
-            let mut engine = ShardedEngine::new(47, shards);
-            assert_eq!(
-                run(&mut engine),
-                expected,
-                "eager views diverged with {shards} shards"
-            );
         }
     }
 
@@ -1074,86 +672,56 @@ mod tests {
     }
 
     #[test]
-    fn rejoin_bootstraps_from_a_peer_alive_at_the_rejoin_instant() {
-        // Node 1 (node 0's ring successor) is down exactly across node 0's
-        // rejoin window; the bootstrap must skip it for node 2 even though
-        // node 1 recovers later (it is not "finally dead").
-        let mut simulation = Simulation::new(61);
+    fn random_peer_draws_spread_load() {
+        // Draw relay sets from one node's view after every round of a
+        // converged overlay and check they cover a large fraction of the
+        // population over time (the load-balancing property CYCLOSA
+        // relies on).
+        let mut simulation = Simulation::new(11);
         let config = EngineGossipConfig {
-            rounds: 60,
+            rounds: 230,
             ..EngineGossipConfig::default()
         };
-        let mut overlay = EngineGossipOverlay::ring(&mut simulation, 20, config, 61);
-        overlay.schedule_kill(&mut simulation, PeerId(1), SimTime::from_secs(5));
-        overlay.revive(&mut simulation, PeerId(1), SimTime::from_secs(40));
-        overlay.schedule_rejoin(
-            &mut simulation,
-            PeerId(0),
-            SimTime::from_secs(8),
-            SimTime::from_secs(15),
-        );
-        // Before the run, the freshly bootstrapped view must point at the
-        // first successor alive at t = 15 s — node 2, not the down node 1.
-        let (_, node0) = &overlay.handles[0];
-        let boot_view = node0.lock().expect("node poisoned").view().peers();
-        assert_eq!(boot_view, vec![PeerId(2)]);
-        simulation.run();
+        let overlay = EngineGossipOverlay::ring(&mut simulation, 50, config, 11);
+        simulation.run_until(SimTime::from_secs(30));
+        let (_, node) = &overlay.handles[0];
+        let mut rng = Xoshiro256StarStar::seed_from_u64(11);
+        let mut seen = BTreeSet::new();
+        for round in 31..=230 {
+            simulation.run_until(SimTime::from_secs(round));
+            let peers = node
+                .lock()
+                .expect("node poisoned")
+                .random_peers(&mut rng, 4);
+            seen.extend(peers);
+        }
+        assert!(seen.len() > 35, "only {} distinct relays seen", seen.len());
+    }
+
+    #[test]
+    fn metrics_on_tiny_overlay() {
+        let mut simulation = Simulation::new(1);
+        let overlay =
+            EngineGossipOverlay::ring(&mut simulation, 2, EngineGossipConfig::default(), 1);
         let metrics = overlay.metrics();
-        assert_eq!(metrics.nodes, 20);
+        assert_eq!(metrics.nodes, 2);
         assert!(metrics.connected);
     }
 
     #[test]
-    fn dead_timeline_is_evaluated_at_event_time_not_scheduling_time() {
-        let mut timeline = DeadTimeline::default();
-        // Scheduled long before the run reaches it: alive until `at`.
-        timeline.mark(SimTime::from_secs(100), PeerId(1), true);
-        assert!(!timeline.is_dead_at(PeerId(1), SimTime::from_secs(5)));
-        assert!(timeline.is_dead_at(PeerId(1), SimTime::from_secs(100)));
-        assert!(timeline.is_dead_finally(PeerId(1)));
-        // A rejoin window [20 s, 50 s): dead inside, alive either side.
-        timeline.mark(SimTime::from_secs(20), PeerId(2), true);
-        timeline.mark(SimTime::from_secs(50), PeerId(2), false);
-        assert!(!timeline.is_dead_at(PeerId(2), SimTime::from_secs(19)));
-        assert!(timeline.is_dead_at(PeerId(2), SimTime::from_secs(35)));
-        assert!(!timeline.is_dead_at(PeerId(2), SimTime::from_secs(50)));
-        assert!(!timeline.is_dead_finally(PeerId(2)));
-        assert_eq!(timeline.finally_dead(), 1);
-        // Same-instant marks apply in call order (last write wins).
-        timeline.mark(SimTime::from_secs(10), PeerId(3), true);
-        timeline.mark(SimTime::from_secs(10), PeerId(3), false);
-        assert!(!timeline.is_dead_at(PeerId(3), SimTime::from_secs(10)));
-    }
-
-    #[test]
-    fn dead_reference_histogram_ignores_kills_that_have_not_fired_yet() {
-        // The whole population gossips for 10 s; a mass kill is scheduled
-        // for long after the last round. No sample may count the
-        // still-alive peers as dead references.
-        let mut simulation = Simulation::new(53);
-        let registry = Registry::new();
-        let config = EngineGossipConfig {
-            rounds: 10,
-            ..EngineGossipConfig::default()
-        };
-        let mut overlay =
-            EngineGossipOverlay::ring_with_metrics(&mut simulation, 30, config, 53, &registry);
-        for i in 0..10 {
-            overlay.schedule_kill(&mut simulation, PeerId(i), SimTime::from_secs(3600));
-        }
-        simulation.run_until(SimTime::from_secs(15));
-        let snapshot = registry.snapshot();
-        let dead_fraction = &snapshot
-            .histograms
-            .iter()
-            .find(|(name, _)| name == "overlay.dead_view_references_permille")
-            .expect("dead-reference histogram registered")
-            .1;
-        assert!(dead_fraction.count > 0, "rounds must have been sampled");
-        assert_eq!(
-            dead_fraction.max, 0,
-            "a kill scheduled for t=3600s may not count as dead at t<15s"
-        );
+    fn metrics_count_absent_peers_as_dead_and_detect_splits() {
+        let views = vec![
+            (PeerId(0), vec![PeerId(1), PeerId(9)]),
+            (PeerId(1), vec![PeerId(0)]),
+            (PeerId(2), vec![PeerId(3)]),
+            (PeerId(3), vec![PeerId(9), PeerId(9)]),
+        ];
+        let metrics = overlay_metrics_from_views(&views);
+        assert_eq!(metrics.nodes, 4);
+        assert!(!metrics.connected, "{{0, 1}} and {{2, 3}} never meet");
+        assert_eq!(metrics.dead_references, 0.5);
+        assert_eq!(metrics.max_in_degree, 1);
+        assert_eq!(metrics.mean_in_degree, 0.75);
     }
 
     #[test]

@@ -1,25 +1,37 @@
-//! Sybil injection against the naive shuffle-based sampler.
+//! Sybil injection against the peer samplers, with the attacker running as
+//! engine nodes.
 //!
 //! The attacker mints `f · N` identities and plays them against the
-//! population: sybils answer every exchange with a buffer of exclusively
-//! *fresh* sybil descriptors (age 0, so the healer policy prefers them)
-//! and additionally push-flood honest nodes every round. Because the
-//! Jelasity-style shuffle merges whatever it receives — its only defenses
-//! are age-based healing and random truncation, both of which the
-//! attacker satisfies trivially by minting fresh descriptors — honest
+//! population: sybils answer every exchange with a message of exclusively
+//! *fresh* sybil ids and additionally push-flood honest nodes every round.
+//! The Jelasity-style shuffle merges whatever it receives — its only
+//! defenses are age-based healing and random truncation, both of which the
+//! attacker satisfies trivially by minting fresh descriptors — so honest
 //! views drift towards the attacker until relay selection is effectively
-//! attacker-chosen. [`SybilSimulator`] measures exactly that drift; the
-//! evaluated defense is the Brahms sampler in [`crate::brahms`], driven
-//! by the same [`SybilAttackConfig`] for comparable curves.
+//! attacker-chosen ([`crate::EngineGossipOverlay::ring_under_attack`]).
+//! The evaluated defense is the Brahms sampler in [`crate::brahms`]
+//! ([`crate::EngineBrahmsOverlay::ring`]).
+//!
+//! Both deployments take one [`SybilAttackConfig`], and the attacker's
+//! identity set, toehold draw and flood cadence all come from here, so the
+//! two poisoning curves measure the same attack. Each sampler supplies
+//! only how its wire protocol carries poison.
 
-use crate::node::{ExchangeBuffer, PeerSamplingConfig, PeerSamplingNode};
-use crate::view::{Descriptor, PeerId};
+use crate::node_rng;
+use crate::view::PeerId;
+use cyclosa_net::engine::Engine;
+use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
+use cyclosa_net::time::SimTime;
+use cyclosa_net::NodeId;
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Identifier floor of attacker-minted identities: any peer id at or
 /// above this is a sybil. Honest populations stay far below it.
 pub const SYBIL_BASE: u64 = 1 << 32;
+
+/// Stream salt of the toehold draw.
+const TOEHOLD_STREAM: u64 = 0xB4A5;
 
 /// Whether `peer` is an attacker-minted identity.
 pub fn is_sybil(peer: PeerId) -> bool {
@@ -51,8 +63,7 @@ pub struct SybilAttackConfig {
     /// Attacker identity budget as a fraction of `N` (`round(f · N)`
     /// sybils are minted).
     pub fraction: f64,
-    /// Push-flood rate: honest nodes each sybil pushes its descriptor to
-    /// per round.
+    /// Push-flood rate: honest nodes each sybil pushes to per round.
     pub pushes_per_sybil: usize,
     /// Scenario seed.
     pub seed: u64,
@@ -79,149 +90,140 @@ impl SybilAttackConfig {
         let count = (self.honest as f64 * self.fraction).round() as usize;
         (0..count as u64).map(|i| PeerId(SYBIL_BASE + i)).collect()
     }
-}
 
-/// The naive shuffle population under Sybil attack: honest
-/// [`PeerSamplingNode`]s gossiping normally, sybils answering every
-/// exchange with poisoned buffers and push-flooding each round.
-#[derive(Debug)]
-pub struct SybilSimulator {
-    nodes: BTreeMap<PeerId, PeerSamplingNode>,
-    sybils: Vec<PeerId>,
-    attack: SybilAttackConfig,
-    protocol: PeerSamplingConfig,
-    rng: Xoshiro256StarStar,
-}
-
-impl SybilSimulator {
-    /// Creates the honest population bootstrapped in a ring, plus the
-    /// attacker's identity set. One sybil is seeded into every honest
-    /// bootstrap view — the attacker only needs a toehold (a directory
-    /// entry, one gossip exchange) and the poisoning does the rest.
-    pub fn ring(attack: SybilAttackConfig, protocol: PeerSamplingConfig) -> Self {
-        assert!(
-            attack.honest >= 2,
-            "a gossip overlay needs at least two nodes"
-        );
-        let sybils = attack.sybils();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(attack.seed ^ 0x5B11);
-        let mut nodes = BTreeMap::new();
-        for i in 0..attack.honest {
-            let id = PeerId(i as u64);
-            let mut node = PeerSamplingNode::new(id, protocol);
-            node.bootstrap([PeerId(((i + 1) % attack.honest) as u64)]);
-            if !sybils.is_empty() {
-                node.bootstrap([sybils[rng.gen_index(sybils.len())]]);
-            }
-            nodes.insert(id, node);
+    /// The one sybil each honest node `i` finds in its bootstrap view
+    /// (`toeholds()[i]`; empty for a zero budget). The attacker needs only
+    /// this toehold — a directory entry, one gossip exchange — and the
+    /// poisoning does the rest.
+    pub(crate) fn toeholds(&self) -> Vec<PeerId> {
+        let sybils = self.sybils();
+        if sybils.is_empty() {
+            return Vec::new();
         }
-        Self {
-            nodes,
-            sybils,
-            attack,
-            protocol,
-            rng,
-        }
-    }
-
-    /// A poisoned exchange buffer: exclusively fresh sybil descriptors, so
-    /// the healer policy (drop oldest) never prefers honest entries over
-    /// them.
-    fn poisoned_buffer(&mut self) -> ExchangeBuffer {
-        let count = self.protocol.exchange_size.min(self.sybils.len());
-        let picks = self.rng.sample_indices(self.sybils.len(), count);
-        ExchangeBuffer {
-            descriptors: picks
-                .into_iter()
-                .map(|i| Descriptor::fresh(self.sybils[i]))
-                .collect(),
-        }
-    }
-
-    /// Runs one synchronous round: the attacker flood-pushes, then every
-    /// honest node runs its normal shuffle exchange — against a poisoned
-    /// responder whenever its partner draw lands on a sybil.
-    pub fn run_round(&mut self) {
-        // Push flood: each sybil ships a poisoned buffer to
-        // `pushes_per_sybil` random honest nodes (push-only merge: the
-        // receiver sent nothing, so the swapper removes nothing).
-        let empty = ExchangeBuffer {
-            descriptors: Vec::new(),
-        };
-        for _ in 0..self.sybils.len() {
-            for _ in 0..self.attack.pushes_per_sybil {
-                let target = PeerId(self.rng.gen_index(self.attack.honest) as u64);
-                let buffer = self.poisoned_buffer();
-                if let Some(node) = self.nodes.get_mut(&target) {
-                    node.merge(&buffer, &empty, &mut self.rng);
-                }
-            }
-        }
-        // Honest shuffle round.
-        let honest: Vec<PeerId> = self.nodes.keys().copied().collect();
-        for id in honest {
-            if let Some(node) = self.nodes.get_mut(&id) {
-                node.increase_ages();
-            }
-            let Some(partner) = self
-                .nodes
-                .get(&id)
-                .and_then(|n| n.select_partner(&mut self.rng))
-            else {
-                continue;
-            };
-            let initiator_buffer = self
-                .nodes
-                .get(&id)
-                .expect("honest node")
-                .prepare_buffer(&mut self.rng);
-            if is_sybil(partner) {
-                // The sybil answers with a poisoned buffer and never
-                // appears dead, so it is never blacklisted.
-                let reply = self.poisoned_buffer();
-                if let Some(node) = self.nodes.get_mut(&id) {
-                    node.merge(&reply, &initiator_buffer, &mut self.rng);
-                }
-                continue;
-            }
-            let partner_buffer = self
-                .nodes
-                .get(&partner)
-                .expect("partner exists")
-                .prepare_buffer(&mut self.rng);
-            if let Some(partner_node) = self.nodes.get_mut(&partner) {
-                partner_node.merge(&initiator_buffer, &partner_buffer, &mut self.rng);
-            }
-            if let Some(node) = self.nodes.get_mut(&id) {
-                node.merge(&partner_buffer, &initiator_buffer, &mut self.rng);
-            }
-        }
-    }
-
-    /// Runs `rounds` synchronous rounds.
-    pub fn run_rounds(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            self.run_round();
-        }
-    }
-
-    /// The `(node, view peers)` pairs of the honest population.
-    pub fn views(&self) -> Vec<(PeerId, Vec<PeerId>)> {
-        self.nodes
-            .iter()
-            .map(|(id, node)| (*id, node.view().peers()))
+        let mut rng = Xoshiro256StarStar::seed_from_u64(self.seed ^ TOEHOLD_STREAM);
+        (0..self.honest)
+            .map(|_| sybils[rng.gen_index(sybils.len())])
             .collect()
     }
 
-    /// The mean fraction of sybil entries across honest views.
-    pub fn attacker_fraction(&self) -> f64 {
-        sybil_view_fraction(&self.views())
+    /// Registers every sybil on `engine` as a [`SybilBehavior`] flooding
+    /// for `rounds` rounds of `round_period`; sybil `s` draws from
+    /// `node_rng(node_seed, s)`.
+    pub(crate) fn deploy_sybils<E: Engine + ?Sized>(
+        &self,
+        engine: &mut E,
+        rounds: usize,
+        round_period: SimTime,
+        node_seed: u64,
+        poison: Poison,
+    ) {
+        let sybils: Arc<[PeerId]> = self.sybils().into();
+        for &sybil in sybils.iter() {
+            engine.add_node(
+                NodeId(sybil.0),
+                Box::new(SybilBehavior {
+                    sybils: sybils.clone(),
+                    honest: self.honest,
+                    pushes_per_round: self.pushes_per_sybil,
+                    rng: node_rng(node_seed, sybil.0),
+                    rounds_left: rounds,
+                    round_period,
+                    poison,
+                }),
+            );
+            engine.schedule_timer(round_period, NodeId(sybil.0), 0);
+        }
+    }
+}
+
+/// How one sampler's wire protocol carries poison.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Poison {
+    /// Tag of the honest request a sybil answers with poison.
+    pub(crate) request: u32,
+    /// Tag of that poisoned answer.
+    pub(crate) answer: u32,
+    /// Tag of a flood push.
+    pub(crate) push: u32,
+    /// Sybil ids per poisoned message (capped at the identity budget).
+    pub(crate) ids: usize,
+    /// Whether a flood push carries a poisoned message (the shuffle merges
+    /// pushed buffers) or only the sender's identity (Brahms counts the
+    /// push itself).
+    pub(crate) push_carries_poison: bool,
+    /// Encodes sampled sybil ids as a message payload.
+    pub(crate) encode: fn(&[PeerId]) -> Vec<u8>,
+}
+
+/// One attacker identity on the engine: answers every request with
+/// poison and push-floods `pushes_per_round` random honest nodes (ids
+/// `0..honest`) every round.
+struct SybilBehavior {
+    sybils: Arc<[PeerId]>,
+    honest: usize,
+    pushes_per_round: usize,
+    rng: Xoshiro256StarStar,
+    rounds_left: usize,
+    round_period: SimTime,
+    poison: Poison,
+}
+
+impl SybilBehavior {
+    fn poisoned(&mut self) -> Vec<u8> {
+        let picks = self.rng.sample_indices(self.sybils.len(), self.poison.ids);
+        let ids: Vec<PeerId> = picks.into_iter().map(|i| self.sybils[i]).collect();
+        (self.poison.encode)(&ids)
+    }
+}
+
+impl NodeBehavior for SybilBehavior {
+    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
+        // Everything but a request (pushes, replies to the flood) is
+        // silently absorbed.
+        if envelope.tag == self.poison.request {
+            let payload = self.poisoned();
+            ctx.send(envelope.src, self.poison.answer, payload);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
+        for _ in 0..self.pushes_per_round {
+            let target = NodeId(self.rng.gen_index(self.honest) as u64);
+            let payload = if self.poison.push_carries_poison {
+                self.poisoned()
+            } else {
+                Vec::new()
+            };
+            ctx.send(target, self.poison.push, payload);
+        }
+        self.rounds_left = self.rounds_left.saturating_sub(1);
+        if self.rounds_left > 0 {
+            ctx.set_timer(self.round_period, 0);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overlay::{overlay_metrics_from_views, EngineGossipConfig, EngineGossipOverlay};
+    use cyclosa_net::sim::Simulation;
+
+    type Views = Vec<(PeerId, Vec<PeerId>)>;
+
+    /// The naive shuffle under `attack`, with the honest views at
+    /// bootstrap and after `rounds` rounds of 1 s.
+    fn naive_views(attack: SybilAttackConfig, rounds: usize) -> (Views, Views) {
+        let mut engine = Simulation::new(attack.seed);
+        let config = EngineGossipConfig {
+            rounds,
+            ..EngineGossipConfig::default()
+        };
+        let overlay = EngineGossipOverlay::ring_under_attack(&mut engine, attack, config);
+        let bootstrap = overlay.views();
+        engine.run();
+        (bootstrap, overlay.views())
+    }
 
     #[test]
     fn sybil_identities_are_recognizable_and_proportional() {
@@ -234,18 +236,20 @@ mod tests {
         assert_eq!(sybils.len(), 10);
         assert!(sybils.iter().all(|s| is_sybil(*s)));
         assert!(!is_sybil(PeerId(49)));
+        let toeholds = attack.toeholds();
+        assert_eq!(toeholds.len(), 50, "one toehold per honest node");
+        assert!(toeholds.iter().all(|s| sybils.contains(s)));
     }
 
     #[test]
     fn naive_shuffle_views_drift_towards_the_attacker() {
         let attack = SybilAttackConfig::default(); // f = 0.2
-        let mut sim = SybilSimulator::ring(attack, PeerSamplingConfig::default());
+        let (bootstrap, poisoned) = naive_views(attack, 50);
         // Bootstrap views hold one honest successor plus the one-sybil
         // toehold; the shuffle is what amplifies the toehold from there.
-        let bootstrap = sim.attacker_fraction();
+        let bootstrap = sybil_view_fraction(&bootstrap);
         assert!(bootstrap <= 0.5, "bootstrap holds only the toehold");
-        sim.run_rounds(50);
-        let fraction = sim.attacker_fraction();
+        let fraction = sybil_view_fraction(&poisoned);
         assert!(
             fraction > bootstrap && fraction > 0.5,
             "a 20% identity budget must capture most naive view slots, got {fraction}"
@@ -255,14 +259,7 @@ mod tests {
     #[test]
     fn poisoning_is_deterministic_per_seed() {
         let attack = SybilAttackConfig::default();
-        let run = |seed| {
-            let mut sim = SybilSimulator::ring(
-                SybilAttackConfig { seed, ..attack },
-                PeerSamplingConfig::default(),
-            );
-            sim.run_rounds(30);
-            sim.views()
-        };
+        let run = |seed| naive_views(SybilAttackConfig { seed, ..attack }, 30).1;
         assert_eq!(run(7), run(7), "same seed, same poisoned views");
         assert_ne!(run(7), run(8), "the seed must matter");
     }
@@ -273,10 +270,17 @@ mod tests {
             fraction: 0.0,
             ..SybilAttackConfig::default()
         };
-        let mut sim = SybilSimulator::ring(attack, PeerSamplingConfig::default());
-        sim.run_rounds(30);
-        assert_eq!(sim.attacker_fraction(), 0.0);
-        let metrics = crate::simulator::overlay_metrics_from_views(&sim.views());
+        let (_, views) = naive_views(attack, 30);
+        assert_eq!(sybil_view_fraction(&views), 0.0);
+        let metrics = overlay_metrics_from_views(&views);
         assert!(metrics.connected, "the honest overlay must still converge");
+        let mut engine = Simulation::new(attack.seed);
+        let config = EngineGossipConfig {
+            rounds: 30,
+            ..EngineGossipConfig::default()
+        };
+        let plain = EngineGossipOverlay::ring(&mut engine, attack.honest, config, attack.seed);
+        engine.run();
+        assert_eq!(views, plain.views(), "no sybil, no toehold, no change");
     }
 }
